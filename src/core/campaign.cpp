@@ -460,7 +460,6 @@ void BatchedCampaignExecutor::execute() {
   // ascending cursor (progress.absorb_ascending) and payloads the
   // cursor has not reached yet stay pending inside progress.
   if (!shards.empty()) {
-    const bool shared_model = shards.size() == 1;
     if (shards.size() > 1) {
       ALFI_LOG(kInfo) << "parallel campaign: " << units << " units across "
                       << shards.size() << " shards (" << runner.jobs() << " jobs)";
@@ -475,7 +474,7 @@ void BatchedCampaignExecutor::execute() {
       for (std::size_t t = shard.begin; t < shard.end;) {
         if (progress.unit_completed(t)) { ++t; continue; }  // replayed or pack-mate
         if (interrupted()) break;
-        if (!unit_runner) unit_runner = task_.make_unit_runner(shared_model);
+        if (!unit_runner) unit_runner = task_.make_unit_runner();
         // Pack incomplete units at the task's stride: {t, t+S, t+2S, ...}.
         // The classification harness strides by dataset_size, so every
         // unit in the pack re-runs the SAME image under a different
@@ -610,7 +609,6 @@ void BatchedCampaignExecutor::execute_steered() {
   // ever touched by round-shard i, and rounds are separated by the
   // barrier, so the pool needs no lock.
   std::vector<std::unique_ptr<CampaignUnitRunner>> runners(runner.jobs());
-  const bool shared_model = runner.jobs() == 1;
 
   // The planning loop: each round's unit list depends only on outcomes
   // absorbed at prior-round barriers, so the executed unit sequence —
@@ -635,7 +633,7 @@ void BatchedCampaignExecutor::execute_steered() {
         std::unique_ptr<CampaignUnitRunner>& unit_runner = runners[shard.index];
         for (std::size_t i = shard.begin; i < shard.end; ++i) {
           if (interrupted()) break;
-          if (!unit_runner) unit_runner = task_.make_unit_runner(shared_model);
+          if (!unit_runner) unit_runner = task_.make_unit_runner();
           const std::size_t t = todo[i];
           const Stopwatch unit_watch;
           std::string payload = unit_runner->run_unit(t);

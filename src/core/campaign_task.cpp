@@ -1,9 +1,11 @@
 #include "core/campaign_task.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/fault_matrix.h"
 #include "core/injector.h"
+#include "core/model_profile.h"
 #include "io/yaml.h"
 #include "util/hash.h"
 
@@ -87,6 +89,34 @@ std::uint64_t campaign_fingerprint(const Scenario& scenario,
     write_fault_bytes(matrix_bytes, fault);
   }
   return fnv1a64(matrix_bytes.bytes(), h);
+}
+
+std::size_t slot_pack_limit(const FaultMatrix& faults) {
+  for (const Fault& fault : faults.faults()) {
+    if (fault.target == FaultTarget::kWeights) return 1;
+  }
+  return std::numeric_limits<std::size_t>::max();
+}
+
+SteeringCellKey steering_cell_of(const Fault& fault, const ModelProfile& profile) {
+  SteeringCellKey key;
+  key.layer = fault.layer;
+  key.value_type = fault.value_type;
+  key.bit_pos = fault.value_type == ValueType::kBitFlip ||
+                        fault.value_type == ValueType::kStuckAt0 ||
+                        fault.value_type == ValueType::kStuckAt1
+                    ? fault.bit_pos
+                    : -1;
+  if (fault.layer >= 0 &&
+      static_cast<std::size_t>(fault.layer) < profile.layer_count()) {
+    key.role = nn::layer_kind_name(profile.layer(fault.layer).kind);
+  }
+  return key;
+}
+
+Tensor single_image_batch(const Tensor& image) {
+  const Shape& s = image.shape();
+  return image.reshaped(Shape{1, s[0], s[1], s[2]});
 }
 
 std::size_t diff_prefix_boundary(const Injector& injector,

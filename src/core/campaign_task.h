@@ -87,10 +87,11 @@ struct CampaignConfigBase {
   /// Harden a copy of the inference path with Ranger or Clipper and
   /// report the hardened verdicts alongside.
   std::optional<MitigationKind> mitigation;
-  /// Worker threads (CampaignRunner).  1 = serial on the wrapped model;
-  /// 0 = hardware concurrency; N > 1 runs N deep-cloned replicas over
-  /// contiguous fault-matrix shards.  Output is byte-identical for
-  /// every job count.
+  /// Worker threads (CampaignRunner).  0 = hardware concurrency; N runs
+  /// N deep-cloned replicas over contiguous fault-matrix shards (1 runs
+  /// one replica serially).  Output is byte-identical for every job
+  /// count.  Classification's batched policies run serially on one
+  /// replica whatever the value.
   std::size_t jobs = 1;
   /// Route inference through arena-backed nn::InferenceWorkspace buffers
   /// (planned once, zero steady-state heap allocations; DESIGN.md §10).
@@ -200,10 +201,11 @@ class CampaignTask {
   /// calibration bounds.
   virtual void prepare() = 0;
 
-  /// Builds a runner.  `shared_model` is true for the single-shard
-  /// serial path (use the wrapped original model); false means the
-  /// runner must own an isolated replica (called from worker threads).
-  virtual std::unique_ptr<CampaignUnitRunner> make_unit_runner(bool shared_model) = 0;
+  /// Builds a runner for one worker — a --jobs thread (including the
+  /// only one of --jobs 1) or a fleet worker process.  Every runner owns
+  /// an isolated replica of the prepared model (core::InjectionStack),
+  /// so workers share only read-only campaign state.
+  virtual std::unique_ptr<CampaignUnitRunner> make_unit_runner() = 0;
 
   /// Upper bound on how many units one run_unit_pack call may receive;
   /// the executor clamps config.unit_batch to it.  The default (1)
@@ -258,6 +260,24 @@ class FaultMatrix;
 /// the seed — the identity a resume validates before trusting a journal.
 std::uint64_t campaign_fingerprint(const Scenario& scenario,
                                    const FaultMatrix& faults);
+
+class ModelProfile;
+
+/// Unit-pack bound for workloads whose units arm neuron faults on their
+/// own batch slot: unbounded, or 1 when any fault targets weights —
+/// weights are shared across a packed pass, so those campaigns stay
+/// unit-at-a-time.
+std::size_t slot_pack_limit(const FaultMatrix& faults);
+
+/// Steering stratum of a unit attributed to `fault` (a unit's group's
+/// FIRST fault — exact for max_faults_per_image == 1, the
+/// steering-relevant configuration): layer, fault type, bit position
+/// for bit-level types, and the layer kind as role.
+SteeringCellKey steering_cell_of(const Fault& fault, const ModelProfile& profile);
+
+/// `image` ([C, H, W]) as a one-image batch [1, C, H, W] — the probe
+/// input for layer profiling and the input of a single-image unit.
+Tensor single_image_batch(const Tensor& image);
 
 class Injector;
 

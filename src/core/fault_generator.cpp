@@ -76,10 +76,10 @@ void fill_neuron_location(const Scenario& scenario, const LayerInfo& layer,
       // Drawn against the configured batch_size so the matrix is
       // seed-stable regardless of dataset length.  A window shorter
       // than batch_size (the final batch of a non-divisible dataset)
-      // does NOT re-draw: the harnesses remap the armed copy onto the
-      // actual occupancy (slot % occupancy — next_for_window(), the
-      // objdet unit addressing), so the fault always lands on a scored
-      // image instead of being silently skipped.
+      // does NOT re-draw: both harnesses remap the armed copy onto the
+      // actual occupancy (window_slot(): slot % occupancy), so the
+      // fault always lands on a scored image instead of being silently
+      // skipped.
       fault.batch =
           static_cast<std::int64_t>(rng.next_below(scenario.batch_size));
       break;
@@ -163,6 +163,26 @@ FaultMatrix generate_fault_matrix(const Scenario& scenario,
     matrix.push_back(generate_fault(scenario, profile, eligible, weights, rng));
   }
   return matrix;
+}
+
+std::size_t groups_needed(const Scenario& scenario) {
+  switch (scenario.inj_policy) {
+    case InjectionPolicy::kPerImage:
+      return scenario.num_runs * scenario.dataset_size;
+    case InjectionPolicy::kPerBatch:
+      return scenario.num_runs *
+             ((scenario.dataset_size + scenario.batch_size - 1) /
+              scenario.batch_size);
+    case InjectionPolicy::kPerEpoch:
+      return scenario.num_runs;
+  }
+  return 0;
+}
+
+void check_fault_capacity(const Scenario& scenario, const FaultMatrix& faults) {
+  ALFI_CHECK(faults.size() >= groups_needed(scenario) * scenario.max_faults_per_image,
+             "fault matrix smaller than the campaign needs: increase "
+             "dataset_size/num_runs or load a larger fault file");
 }
 
 }  // namespace alfi::core

@@ -33,4 +33,23 @@ Fault generate_fault(const Scenario& scenario, const ModelProfile& profile,
 FaultMatrix generate_fault_matrix(const Scenario& scenario,
                                   const ModelProfile& profile, Rng& rng);
 
+/// Fault groups a campaign over `scenario` consumes: one per image
+/// (per_image), per batch window (per_batch) or per epoch (per_epoch).
+std::size_t groups_needed(const Scenario& scenario);
+
+/// Throws unless `faults` holds the groups_needed(scenario) *
+/// max_faults_per_image columns the campaign arms — checked before a
+/// campaign writes any output, so an undersized loaded fault file fails
+/// up front instead of part-way through.
+void check_fault_capacity(const Scenario& scenario, const FaultMatrix& faults);
+
+/// Batch slot a per_batch neuron fault drawn for `slot` (against the
+/// configured batch_size) lands on in a window scoring `occupancy`
+/// images: slot % occupancy.  Full windows keep the drawn slot; the
+/// short final batch of a non-divisible dataset re-maps it, so every
+/// drawn fault lands on a scored image instead of being skipped.
+inline std::int64_t window_slot(std::int64_t slot, std::size_t occupancy) {
+  return slot % static_cast<std::int64_t>(occupancy);
+}
+
 }  // namespace alfi::core

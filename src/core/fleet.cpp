@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include "core/steering.h"
+#include "io/metrics_json.h"
 #include "io/socket.h"
 #include "io/vulnerability_map.h"
 #include "util/drain.h"
@@ -227,7 +228,7 @@ FleetWorkerStats FleetWorker::run() {
     lease.begin = static_cast<std::size_t>(r.read_u64());
     lease.end = static_cast<std::size_t>(r.read_u64());
 
-    if (!runner) runner = task_.make_unit_runner(/*shared_model=*/true);
+    if (!runner) runner = task_.make_unit_runner();
     served.assign(lease.size(), 0);
     // Drain-to-lease-boundary: a drain request arriving anywhere in
     // here (even mid-pack) finishes the WHOLE lease first — every
@@ -684,6 +685,45 @@ void FleetCoordinator::execute() {
     ALFI_LOG(kInfo) << "vulnerability map written to "
                     << config.steering.map_path;
   }
+}
+
+// ---- harness entry point ----------------------------------------------------
+
+void execute_campaign_task(CampaignTask& task, CampaignConfigBase& config,
+                           util::MetricsRegistry& metrics) {
+  if (config.fleet.worker_mode()) {
+    if (!config.output_dir.empty()) {
+      ALFI_LOG(kInfo) << "fleet worker: ignoring output dir (the coordinator "
+                         "writes all outputs)";
+      config.output_dir.clear();
+    }
+    const auto [host, port] = parse_host_port(config.fleet.connect);
+    FleetWorker worker(task, host, port, /*prepared=*/false);
+    const FleetWorkerStats stats = worker.run();
+    ALFI_LOG(kInfo) << "fleet worker done: " << stats.units_computed
+                    << " units over " << stats.leases_served << " leases"
+                    << (stats.drained ? " (drained)" : "");
+  } else if (config.fleet.coordinator_mode()) {
+    FleetCoordinator coordinator(task, &metrics);
+    coordinator.execute();
+  } else {
+    CampaignExecutor executor(task, &metrics);
+    executor.execute();
+  }
+}
+
+void write_campaign_metrics(const CampaignTask& task,
+                            const util::MetricsRegistry& metrics,
+                            double wall_seconds, const std::string& backend) {
+  const CampaignConfigBase& config = task.base_config();
+  if (config.metrics_path.empty()) return;
+  io::MetricsFileInfo info;
+  info.task_kind = task.task_kind();
+  info.jobs = config.jobs;
+  info.wall_seconds = wall_seconds;
+  info.backend = backend;
+  info.numeric_type = nn::to_string(task.task_scenario().numeric_type);
+  io::write_metrics_file(config.metrics_path, metrics, info);
 }
 
 }  // namespace alfi::core

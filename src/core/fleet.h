@@ -180,4 +180,20 @@ class FleetCoordinator {
   util::MetricsRegistry* metrics_;
 };
 
+// ---- harness entry point ----------------------------------------------------
+
+/// Runs `task` in the role `config` names: a fleet worker (streams unit
+/// frames only — it clears config.output_dir, since the coordinator
+/// writes every output exactly once), a fleet coordinator, or the local
+/// CampaignExecutor.  `config` must be the task's own base_config().
+void execute_campaign_task(CampaignTask& task, CampaignConfigBase& config,
+                           util::MetricsRegistry& metrics);
+
+/// Writes config.metrics_path (no-op when empty): the registry plus run
+/// info — task kind, --jobs, wall time, the resolved `backend` and the
+/// scenario's numeric type.
+void write_campaign_metrics(const CampaignTask& task,
+                            const util::MetricsRegistry& metrics,
+                            double wall_seconds, const std::string& backend);
+
 }  // namespace alfi::core

@@ -4,14 +4,9 @@
 #include <cmath>
 #include <filesystem>
 #include <functional>
-#include <limits>
 
-#include "core/campaign.h"
 #include "core/fleet.h"
-#include "nn/workspace.h"
-#include "tensor/backend.h"
 #include "io/csv.h"
-#include "io/metrics_json.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -20,13 +15,6 @@
 namespace alfi::core {
 
 namespace {
-
-/// One sample of probe input so the wrapper can profile layer geometry.
-Tensor probe_input(const data::ClassificationDataset& dataset) {
-  const data::ClassificationSample sample = dataset.get(0);
-  const Shape& s = sample.image.shape();
-  return sample.image.reshaped(Shape{1, s[0], s[1], s[2]});
-}
 
 std::string fmt_float(float v) { return strformat("%.6g", v); }
 
@@ -62,43 +50,15 @@ struct EvalSink {
   std::vector<std::vector<std::string>> fault_free_rows;
 };
 
-/// Per-worker execution resources: the model (original or deep-cloned
-/// replica) plus the injection/observation machinery bound to it.
-/// When the workspace pointers are set, the triple runs through the
-/// arena-backed zero-allocation path — one workspace per pass so the
-/// three output tensors coexist; otherwise each pass uses the legacy
-/// allocating forward() and parks its result in the holder members.
-struct ExecContext {
-  nn::Module* model = nullptr;
-  Injector* injector = nullptr;
-  ModelMonitor* monitor = nullptr;
-  Protection* protection = nullptr;  // null when no mitigation configured
-  nn::InferenceWorkspace* ws_orig = nullptr;
-  nn::InferenceWorkspace* ws_corr = nullptr;
-  nn::InferenceWorkspace* ws_resil = nullptr;
-  Tensor orig_hold, corr_hold, resil_hold;  // allocating-path storage
-  /// Differential inference: corr/resil replay the orig pass's cached
-  /// prefix up to the earliest armed layer (workspace path only).
-  bool diff = false;
-  util::Counter* diff_skipped = nullptr;  // campaign.diff.layers_skipped
-  util::Counter* diff_hits = nullptr;     // passes that replayed >= 1 leaf
-  util::Counter* diff_misses = nullptr;   // passes that fully recomputed
-  /// Packed unit batch: > 0 makes run_triple snapshot per-slot monitor
-  /// verdicts into *slot_due_out right after the corrupted pass — the
-  /// same point a serial unit reads its window_due — before the
-  /// hardened pass can add detections of its own.
-  std::size_t slot_count = 0;
-  std::vector<std::uint8_t>* slot_due_out = nullptr;
-};
-
-/// Outputs of one coupled triple; the pointers reference either the
-/// workspaces' root slots or the context's holder tensors, valid until
-/// the next run_triple on the same context.
-struct TripleOutputs {
+/// Outputs of one coupled triple.  The pointers reference either the
+/// stack's workspace root slots or the holder tensors below (the
+/// allocating path), valid until the next run_triple on the same Triple.
+struct Triple {
   const Tensor* orig = nullptr;
   const Tensor* corr = nullptr;
   const Tensor* resil = nullptr;  // null without mitigation
   bool window_due = false;
+  Tensor orig_hold, corr_hold, resil_hold;  // allocating-path storage
 };
 
 /// Records the verdicts and CSV rows of one window of images evaluated
@@ -184,75 +144,74 @@ void evaluate_window(
   }
 }
 
-/// Runs the coupled triple with the fault group `arm` installs, against
-/// the given execution context.  The fault-free pass runs on
-/// `orig_images`; the corrupted and hardened passes run on
-/// `faulty_images`.  A same-image unit pack passes a batch-1 tensor as
-/// `orig_images` and its N-fold replication as `faulty_images`, so one
-/// shared fault-free pass serves every slot (the broadcast prefix
-/// replay, DESIGN.md §12); everywhere else the two are the same tensor.
-TripleOutputs run_triple(ExecContext& ctx, const Tensor& orig_images,
-                         const Tensor& faulty_images,
-                         const std::function<void()>& arm) {
-  const bool use_ws = ctx.ws_orig != nullptr;
-  TripleOutputs out;
-  ctx.injector->disarm();
-  if (ctx.protection) ctx.protection->set_enabled(false);
+/// Runs the coupled triple with the fault group `arm` installs on
+/// `stack`.  The fault-free pass runs on `orig_images`; the corrupted
+/// and hardened passes run on `faulty_images`.  A same-image unit pack
+/// passes a batch-1 tensor as `orig_images` and its N-fold replication
+/// as `faulty_images`, so one shared fault-free pass serves every slot
+/// (the broadcast prefix replay, DESIGN.md §12); everywhere else the two
+/// are the same tensor.  A packed pass (`slot_count` > 0) snapshots the
+/// per-slot monitor verdicts into `slot_due` right after the corrupted
+/// pass — the point a serial unit reads its window_due — before the
+/// hardened pass can add detections of its own.
+void run_triple(InjectionStack& stack, Triple& out, const Tensor& orig_images,
+                const Tensor& faulty_images, const std::function<void()>& arm,
+                std::size_t slot_count = 0,
+                std::vector<std::uint8_t>* slot_due = nullptr) {
+  nn::Module& model = stack.model();
+  Injector& injector = stack.injector();
+  ModelMonitor& monitor = stack.monitor();
+  Protection* protection = stack.protection();
+  const bool use_ws = stack.ws_orig() != nullptr;
+  out.resil = nullptr;
+  injector.disarm();
+  if (protection != nullptr) protection->set_enabled(false);
   // The fault-free pass observes whole-tensor — a same-image pack runs
   // it batch-1; per-slot monitoring only matters for the armed passes.
-  ctx.monitor->set_slot_count(0);
+  monitor.set_slot_count(0);
   if (use_ws) {
-    out.orig = &ctx.ws_orig->run(*ctx.model, orig_images);
+    out.orig = &stack.ws_orig()->run(model, orig_images);
   } else {
-    ctx.orig_hold = ctx.model->forward(orig_images);
-    out.orig = &ctx.orig_hold;
+    out.orig_hold = model.forward(orig_images);
+    out.orig = &out.orig_hold;
   }
 
   arm();
-  ctx.monitor->set_slot_count(ctx.slot_count);
-  ctx.monitor->reset();
+  monitor.set_slot_count(slot_count);
+  monitor.reset();
   // The armed set is fixed for both remaining passes, so one boundary
   // serves corr and resil alike; 0 (diff off or nothing replayable)
   // makes forward_from a plain full recompute.
-  std::size_t boundary = 0;
-  if (use_ws && ctx.diff) {
-    boundary = diff_prefix_boundary(*ctx.injector, *ctx.ws_orig);
-  }
-  const auto note_diff = [&ctx](const nn::InferenceWorkspace& ws) {
-    if (!ctx.diff) return;
-    const std::size_t reused = ws.prefix_reused_last_run();
-    if (ctx.diff_skipped != nullptr) ctx.diff_skipped->add(reused);
-    util::Counter* outcome = reused > 0 ? ctx.diff_hits : ctx.diff_misses;
-    if (outcome != nullptr) outcome->add();
-  };
+  const std::size_t boundary = stack.diff_boundary();
   if (use_ws) {
-    out.corr = &ctx.model->forward_from(boundary, faulty_images, *ctx.ws_corr);
-    note_diff(*ctx.ws_corr);
+    out.corr = &model.forward_from(boundary, faulty_images, *stack.ws_corr());
+    stack.note_diff(*stack.ws_corr());
   } else {
-    ctx.corr_hold = ctx.model->forward(faulty_images);
-    out.corr = &ctx.corr_hold;
+    out.corr_hold = model.forward(faulty_images);
+    out.corr = &out.corr_hold;
   }
-  out.window_due = ctx.monitor->due_detected();
-  if (ctx.slot_due_out != nullptr) {
-    ctx.slot_due_out->assign(ctx.slot_count, 0);
-    for (std::size_t s = 0; s < ctx.slot_count; ++s) {
-      (*ctx.slot_due_out)[s] = ctx.monitor->slot_due(s) ? 1 : 0;
+  out.window_due = monitor.due_detected();
+  if (slot_due != nullptr) {
+    slot_due->assign(slot_count, 0);
+    for (std::size_t s = 0; s < slot_count; ++s) {
+      (*slot_due)[s] = monitor.slot_due(s) ? 1 : 0;
     }
   }
 
-  if (ctx.protection) {
-    ctx.protection->set_enabled(true);
+  if (protection != nullptr) {
+    protection->set_enabled(true);
     if (use_ws) {
-      out.resil = &ctx.model->forward_from(boundary, faulty_images, *ctx.ws_resil);
-      note_diff(*ctx.ws_resil);
+      out.resil = &model.forward_from(boundary, faulty_images, *stack.ws_resil());
+      stack.note_diff(*stack.ws_resil());
     } else {
-      ctx.resil_hold = ctx.model->forward(faulty_images);
-      out.resil = &ctx.resil_hold;
+      out.resil_hold = model.forward(faulty_images);
+      out.resil = &out.resil_hold;
     }
-    ctx.protection->set_enabled(false);
+    protection->set_enabled(false);
   }
-  ctx.injector->disarm();
-  return out;
+  injector.disarm();
+  monitor.set_slot_count(0);
+  stack.note_arena();
 }
 
 void write_rows(io::ByteWriter& w,
@@ -277,8 +236,7 @@ std::vector<std::vector<std::string>> read_rows(io::ByteReader& r) {
 /// one image evaluated under one fault group.  Deterministic in the
 /// unit index alone, so journal-replayed and fresh units match.
 std::string serialize_unit(const EvalSink& out,
-                           const std::vector<InjectionRecord>& records,
-                           std::size_t base_records) {
+                           const std::vector<InjectionRecord>& records) {
   io::ByteWriter w;
   w.write_u64(out.kpis.total);
   w.write_u64(out.kpis.orig_correct);
@@ -289,80 +247,20 @@ std::string serialize_unit(const EvalSink& out,
   w.write_u64(out.kpis.resil_sde);
   write_rows(w, out.result_rows);
   write_rows(w, out.fault_free_rows);
-  w.write_u64(records.size() - base_records);
-  for (std::size_t i = base_records; i < records.size(); ++i) {
-    write_record_bytes(w, records[i]);
-  }
+  w.write_u64(records.size());
+  for (const InjectionRecord& record : records) write_record_bytes(w, record);
   return w.take();
 }
 
 }  // namespace
 
-/// Per-worker unit engine for the classification campaign.  A shared
-/// runner drives the wrapped original model (single-shard serial path);
-/// otherwise it owns a deep-cloned replica with its own injection stack
-/// so workers share only read-only state (dataset, fault matrix,
-/// calibration bounds).
+/// Per-worker unit engine for the classification campaign: one
+/// InjectionStack over a deep-cloned replica, so workers share only
+/// read-only state (dataset, fault matrix, calibration bounds).
 class ImgClassUnitRunner final : public CampaignUnitRunner {
  public:
-  ImgClassUnitRunner(TestErrorModelsImgClass& harness, bool shared_model)
-      : h_(harness) {
-    const Scenario& scenario = h_.wrapper_.get_scenario();
-    if (shared_model) {
-      ctx_.model = &h_.model_;
-      ctx_.injector = &h_.wrapper_.injector();
-    } else {
-      replica_ = h_.model_.clone();
-      profile_ = std::make_unique<ModelProfile>(*replica_, probe_input(h_.dataset_));
-      if (h_.store_) {
-        // Bit-exact copy of the primary stored representation, rebound
-        // onto the replica's parameters (never rebuilt from the
-        // dequantized values — scales could round differently).
-        replica_store_ =
-            std::make_unique<nn::StoredWeightStore>(*replica_, *h_.store_);
-      }
-      injector_ =
-          std::make_unique<Injector>(*replica_, *profile_, scenario.duration);
-      injector_->set_numeric_type(scenario.numeric_type);
-      injector_->set_stored_weights(replica_store_.get());
-      ctx_.model = replica_.get();
-      ctx_.injector = injector_.get();
-    }
-    ctx_.injector->set_metrics(&h_.metrics_);
-    monitor_ = std::make_unique<ModelMonitor>(*ctx_.model);
-    monitor_->set_metrics(&h_.metrics_);
-    ctx_.monitor = monitor_.get();
-    if (h_.config_.mitigation) {
-      protection_ = std::make_unique<Protection>(*ctx_.model, h_.bounds_,
-                                                 *h_.config_.mitigation);
-      protection_->set_enabled(false);
-    }
-    ctx_.protection = protection_.get();
-    if (h_.config_.workspace) {
-      ctx_.ws_orig = &ws_orig_;
-      ctx_.ws_corr = &ws_corr_;
-      ctx_.ws_resil = &ws_resil_;
-      arena_gauge_ = &h_.metrics_.gauge("campaign.arena_high_water_bytes");
-      if (h_.config_.diff) {
-        // corr/resil replay the orig pass; observers follow the hook
-        // order on each leaf (injector has nothing to replay on unarmed
-        // layers, monitor observes, protection validates its clamp).
-        ctx_.diff = true;
-        for (nn::InferenceWorkspace* ws : {&ws_corr_, &ws_resil_}) {
-          ws->set_prefix_baseline(&ws_orig_);
-          // Same-image packs run the orig pass at batch 1 under a K-row
-          // corr/resil pass; every packed row is the same image, so the
-          // broadcast-replay row-equality contract holds (DESIGN.md §12).
-          ws->set_prefix_broadcast(true);
-          ws->add_prefix_observer(monitor_.get());
-          if (ctx_.protection != nullptr) ws->add_prefix_observer(ctx_.protection);
-        }
-        ctx_.diff_skipped = &h_.metrics_.counter("campaign.diff.layers_skipped");
-        ctx_.diff_hits = &h_.metrics_.counter("campaign.diff.prefix_hits");
-        ctx_.diff_misses = &h_.metrics_.counter("campaign.diff.prefix_misses");
-      }
-    }
-  }
+  explicit ImgClassUnitRunner(TestErrorModelsImgClass& harness)
+      : h_(harness), stack_(harness.make_stack()) {}
 
   /// Global step t = epoch * dataset_size + img runs image `img` under
   /// fault columns [t*group, (t+1)*group).  The global index keeps
@@ -371,34 +269,28 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
   std::string run_unit(std::size_t t) override {
     const Scenario& scenario = h_.wrapper_.get_scenario();
     const std::size_t group = scenario.max_faults_per_image;
-    const std::size_t epoch = t / scenario.dataset_size;
-    const std::size_t img = t % scenario.dataset_size;
-    const data::ClassificationSample sample = h_.dataset_.get(img);
-    const Shape& s = sample.image.shape();
-    const Tensor input = sample.image.reshaped(Shape{1, s[0], s[1], s[2]});
+    const data::ClassificationSample sample =
+        h_.dataset_.get(t % scenario.dataset_size);
+    const Tensor input = single_image_batch(sample.image);
     const std::vector<Fault> faults =
         h_.wrapper_.fault_matrix().slice(t * group, group);
 
-    const std::size_t base_records = ctx_.injector->records().size();
-    const TripleOutputs trip = run_triple(ctx_, input, input, [&] {
-      ctx_.injector->set_inference_index(t);
-      ctx_.injector->arm(faults);
+    Injector& injector = stack_.injector();
+    injector.clear_records();
+    run_triple(stack_, trip_, input, input, [&] {
+      injector.set_inference_index(t);
+      injector.arm(faults);
     });
-    if (arena_gauge_ != nullptr) {
-      // Same planned footprint every unit, so the gauge is deterministic
-      // for any job count (the three passes share one plan size).
-      arena_gauge_->set(static_cast<double>(ws_corr_.high_water_bytes()));
-    }
 
     EvalSink out;
     const std::size_t labels[1] = {sample.label};
     const data::ImageMeta metas[1] = {sample.meta};
-    const std::size_t applied = ctx_.injector->records().size() - base_records;
-    evaluate_window(out, h_.config_.top_k, /*make_rows=*/true, *trip.orig,
-                    *trip.corr, trip.resil, labels, metas, trip.window_due,
-                    epoch, [&](std::size_t) { return faults; },
+    const std::size_t applied = injector.records().size();
+    evaluate_window(out, h_.config_.top_k, /*make_rows=*/true, *trip_.orig,
+                    *trip_.corr, trip_.resil, labels, metas, trip_.window_due,
+                    t / scenario.dataset_size, [&](std::size_t) { return faults; },
                     [&](std::size_t) { return applied; });
-    return serialize_unit(out, ctx_.injector->records(), base_records);
+    return serialize_unit(out, injector.records());
   }
 
   /// Packed execution (DESIGN.md §12): the given units run as one
@@ -443,9 +335,7 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
       metas[i] = sample.meta;
     }
     // A same-image pack computes the fault-free pass once, batch-1.
-    const Tensor orig_input =
-        same_image ? probe.image.reshaped(Shape{1, s[0], s[1], s[2]})
-                   : Tensor();
+    const Tensor orig_input = same_image ? single_image_batch(probe.image) : Tensor();
 
     // Arm every slot's group in one set.  Per-unit serial semantics on
     // a one-image inference: batch <= 0 applies (to slot 0), batch > 0
@@ -453,8 +343,9 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     // arms on the unit's slot; batch > 0 is pushed past the packed
     // batch (slot count + batch) so the injector's skip accounting
     // fires exactly as it would serially.
+    Injector& injector = stack_.injector();
     const auto arm = [&] {
-      ctx_.injector->set_inference_index(units[0]);
+      injector.set_inference_index(units[0]);
       std::vector<Fault> armed;
       armed.reserve(count * group);
       for (std::size_t i = 0; i < count; ++i) {
@@ -466,53 +357,31 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
           armed.push_back(f);
         }
       }
-      ctx_.injector->arm(std::move(armed));
+      injector.arm(std::move(armed));
     };
 
     std::vector<std::uint8_t> slot_due;
-    ctx_.slot_count = count;
-    ctx_.slot_due_out = &slot_due;
-    const std::size_t base_records = ctx_.injector->records().size();
-    const TripleOutputs trip =
-        run_triple(ctx_, same_image ? orig_input : packed, packed, arm);
-    ctx_.slot_due_out = nullptr;
-    ctx_.slot_count = 0;
-    ctx_.monitor->set_slot_count(0);
-    if (arena_gauge_ != nullptr) {
-      arena_gauge_->set(static_cast<double>(ws_corr_.high_water_bytes()));
-    }
+    injector.clear_records();
+    run_triple(stack_, trip_, same_image ? orig_input : packed, packed, arm, count,
+               &slot_due);
 
     // A shared fault-free pass produced one logit row; evaluate_window
     // reads the slot's row, so replicate it count ways (identical to
     // what count serial fault-free passes would each have produced).
     Tensor orig_rep;
-    const Tensor* orig_logits = trip.orig;
+    const Tensor* orig_logits = trip_.orig;
     if (same_image) {
-      const std::size_t k = trip.orig->dim(1);
+      const std::size_t k = trip_.orig->dim(1);
       orig_rep = Tensor(Shape{count, k});
       for (std::size_t i = 0; i < count; ++i) {
-        std::copy(trip.orig->raw(), trip.orig->raw() + k,
+        std::copy(trip_.orig->raw(), trip_.orig->raw() + k,
                   orig_rep.raw() + i * k);
       }
       orig_logits = &orig_rep;
     }
 
-    // Rewrite the packed pass's records into per-unit serial form: the
-    // recorded batch slot identifies the owning unit; a serial unit
-    // records batch 0 and its own inference index.  Bucketing by slot
-    // preserves the within-pass firing order, which equals each serial
-    // unit's record order (layers fire in the same order either way).
-    std::vector<InjectionRecord>& recs = ctx_.injector->records_mutable();
-    std::vector<std::vector<InjectionRecord>> per_unit_records(count);
-    for (std::size_t r = base_records; r < recs.size(); ++r) {
-      InjectionRecord record = recs[r];
-      const std::size_t slot = static_cast<std::size_t>(record.fault.batch);
-      record.fault.batch = 0;
-      record.inference_index = units[slot];
-      per_unit_records[slot].push_back(record);
-      recs[r] = record;
-    }
-
+    const std::vector<std::vector<InjectionRecord>> per_unit_records =
+        stack_.split_pack_records(units);
     std::vector<std::string> payloads;
     payloads.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
@@ -523,29 +392,20 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
       const std::span<const std::size_t> label_span{labels.data() + i, 1};
       const std::span<const data::ImageMeta> meta_span{metas.data() + i, 1};
       evaluate_window(out, h_.config_.top_k, /*make_rows=*/true, *orig_logits,
-                      *trip.corr, trip.resil, label_span, meta_span,
+                      *trip_.corr, trip_.resil, label_span, meta_span,
                       slot_due[i] != 0, t / scenario.dataset_size,
                       [&](std::size_t) { return faults; },
                       [&](std::size_t) { return per_unit_records[i].size(); },
                       /*first_row=*/i);
-      payloads.push_back(serialize_unit(out, per_unit_records[i], 0));
+      payloads.push_back(serialize_unit(out, per_unit_records[i]));
     }
     return payloads;
   }
 
  private:
   TestErrorModelsImgClass& h_;
-  std::shared_ptr<nn::Module> replica_;  // null when sharing the original
-  std::unique_ptr<ModelProfile> profile_;
-  // Declared before injector_: the injector's destructor restores
-  // corrupted weights through the store.
-  std::unique_ptr<nn::StoredWeightStore> replica_store_;
-  std::unique_ptr<Injector> injector_;
-  std::unique_ptr<ModelMonitor> monitor_;
-  std::unique_ptr<Protection> protection_;
-  nn::InferenceWorkspace ws_orig_, ws_corr_, ws_resil_;
-  util::Gauge* arena_gauge_ = nullptr;
-  ExecContext ctx_;
+  InjectionStack stack_;
+  Triple trip_;
 };
 
 TestErrorModelsImgClass::TestErrorModelsImgClass(
@@ -554,7 +414,7 @@ TestErrorModelsImgClass::TestErrorModelsImgClass(
     : model_(model),
       dataset_(dataset),
       config_(std::move(config)),
-      wrapper_(model, std::move(scenario), probe_input(dataset)) {
+      wrapper_(model, std::move(scenario), single_image_batch(dataset.get(0).image)) {
   ALFI_CHECK(wrapper_.get_scenario().dataset_size <= dataset.size(),
              "scenario dataset_size exceeds the dataset");
   // The tightly-coupled triple shares one model instance, so weight
@@ -590,20 +450,7 @@ void TestErrorModelsImgClass::prepare() {
   const Scenario& scenario = wrapper_.get_scenario();
   const bool write_outputs = !config_.output_dir.empty();
 
-  // Inference configuration (DESIGN.md §13): resolve the backend — an
-  // unavailable explicit choice fails here, loudly — and install the
-  // weight representation before calibration so the hardened bounds are
-  // profiled on the model the campaign actually runs.
-  tensor::Backend& backend = tensor::resolve_backend(scenario.backend);
-  tensor::set_active_backend(backend);
-  resolved_backend_ = backend.name();
-  if (nn::is_stored_type(scenario.numeric_type)) {
-    if (!store_) store_.emplace(model_, scenario.numeric_type);
-  } else if (scenario.numeric_type != nn::NumericType::kFloat32) {
-    nn::quantize_parameters(model_, scenario.numeric_type);
-  }
-  wrapper_.injector().set_numeric_type(scenario.numeric_type);
-  wrapper_.injector().set_stored_weights(store_ ? &*store_ : nullptr);
+  resolved_backend_ = install_inference_config(model_, scenario, store_);
 
   kpis_ = {};
   kpis_.has_resil = config_.mitigation.has_value();
@@ -626,12 +473,7 @@ void TestErrorModelsImgClass::prepare() {
     ff_header_.push_back(strformat("top%zu_prob", k));
   }
 
-  if (scenario.inj_policy == InjectionPolicy::kPerImage) {
-    ALFI_CHECK(wrapper_.fault_matrix().size() >=
-                   unit_count() * scenario.max_faults_per_image,
-               "fault matrix smaller than the campaign needs: increase "
-               "dataset_size/num_runs or load a larger fault file");
-  }
+  check_fault_capacity(scenario, wrapper_.fault_matrix());
 
   if (write_outputs) {
     std::filesystem::create_directories(config_.output_dir);
@@ -668,16 +510,20 @@ void TestErrorModelsImgClass::prepare() {
   }
 }
 
-std::unique_ptr<CampaignUnitRunner> TestErrorModelsImgClass::make_unit_runner(
-    bool shared_model) {
-  return std::make_unique<ImgClassUnitRunner>(*this, shared_model);
+InjectionStack TestErrorModelsImgClass::make_stack() {
+  return InjectionStack(
+      model_.clone(), single_image_batch(dataset_.get(0).image),
+      {wrapper_.get_scenario(), config_, store_ ? &*store_ : nullptr, bounds_,
+       metrics_},
+      WorkspaceLayout::kPerPass);
+}
+
+std::unique_ptr<CampaignUnitRunner> TestErrorModelsImgClass::make_unit_runner() {
+  return std::make_unique<ImgClassUnitRunner>(*this);
 }
 
 std::size_t TestErrorModelsImgClass::max_unit_pack() const {
-  for (const Fault& fault : wrapper_.fault_matrix().faults()) {
-    if (fault.target == FaultTarget::kWeights) return 1;
-  }
-  return std::numeric_limits<std::size_t>::max();
+  return slot_pack_limit(wrapper_.fault_matrix());
 }
 
 std::size_t TestErrorModelsImgClass::unit_pack_stride() const {
@@ -693,25 +539,10 @@ std::vector<SteeringCellKey> TestErrorModelsImgClass::steering_cells() const {
   const auto& matrix = wrapper_.fault_matrix();
   if (matrix.size() < units * group) return {};
 
-  const ModelProfile& profile = wrapper_.profile();
-  std::vector<SteeringCellKey> cells(units);
+  std::vector<SteeringCellKey> cells;
+  cells.reserve(units);
   for (std::size_t t = 0; t < units; ++t) {
-    // A unit is attributed to its group's FIRST fault — exact for
-    // max_faults_per_image == 1 (the steering-relevant configuration),
-    // a first-fault approximation for larger groups.
-    const Fault& fault = matrix.faults()[t * group];
-    SteeringCellKey& key = cells[t];
-    key.layer = fault.layer;
-    key.value_type = fault.value_type;
-    key.bit_pos = fault.value_type == ValueType::kBitFlip ||
-                          fault.value_type == ValueType::kStuckAt0 ||
-                          fault.value_type == ValueType::kStuckAt1
-                      ? fault.bit_pos
-                      : -1;
-    if (fault.layer >= 0 &&
-        static_cast<std::size_t>(fault.layer) < profile.layer_count()) {
-      key.role = nn::layer_kind_name(profile.layer(fault.layer).kind);
-    }
+    cells.push_back(steering_cell_of(matrix.faults()[t * group], wrapper_.profile()));
   }
   return cells;
 }
@@ -774,131 +605,80 @@ void TestErrorModelsImgClass::finalize() {
 ImgClassCampaignResult TestErrorModelsImgClass::run() {
   const Scenario& scenario = wrapper_.get_scenario();
   const Stopwatch run_watch;
-
-  if (config_.fleet.enabled()) {
-    if (scenario.inj_policy != InjectionPolicy::kPerImage) {
+  if (scenario.inj_policy == InjectionPolicy::kPerImage) {
+    execute_campaign_task(*this, config_, metrics_);
+  } else {
+    // Batched windows: one fault group per batch (per_batch) or per
+    // epoch (per_epoch).  These policies couple consecutive windows to
+    // one armed group, so they run serially and are not
+    // unit-addressable — which also rules out the fleet, checkpointing
+    // and steering.
+    if (config_.fleet.enabled()) {
       throw ConfigError(
           "fleet execution requires inj_policy per_image for classification "
           "(batched policies are not unit-addressable)");
     }
-    if (config_.fleet.worker_mode()) {
-      // A worker only streams unit frames; the coordinator writes every
-      // campaign output exactly once.
-      if (!config_.output_dir.empty()) {
-        ALFI_LOG(kInfo) << "fleet worker: ignoring output dir (the "
-                           "coordinator writes all outputs)";
-        config_.output_dir.clear();
-      }
-      const auto [host, port] = parse_host_port(config_.fleet.connect);
-      FleetWorker worker(*this, host, port, /*prepared=*/false);
-      const FleetWorkerStats stats = worker.run();
-      ALFI_LOG(kInfo) << "fleet worker done: " << stats.units_computed
-                      << " units over " << stats.leases_served << " leases"
-                      << (stats.drained ? " (drained)" : "");
-    } else {
-      FleetCoordinator coordinator(*this, &metrics_);
-      coordinator.execute();
+    if (!config_.checkpoint_dir.empty()) {
+      throw ConfigError(
+          "campaign checkpointing requires inj_policy per_image for "
+          "classification (batched policies are not unit-addressable)");
     }
-    finish_metrics(run_watch.elapsed_seconds());
-    return result_;
+    if (config_.steering.enabled()) {
+      throw ConfigError(
+          "campaign steering (--budget/--steer/--vuln-map) requires inj_policy "
+          "per_image for classification (batched policies are not "
+          "unit-addressable)");
+    }
+    if (config_.jobs != 1) {
+      ALFI_LOG(kInfo) << "inj_policy " << to_string(scenario.inj_policy)
+                      << " runs serially; --jobs applies to per_image only";
+    }
+    prepare();
+    run_batched();
+    finalize();
   }
-
-  if (scenario.inj_policy == InjectionPolicy::kPerImage) {
-    CampaignExecutor executor(*this, &metrics_);
-    executor.execute();
-    finish_metrics(run_watch.elapsed_seconds());
-    return result_;
-  }
-
-  // Batched windows: one fault group per batch (per_batch) or per epoch
-  // (per_epoch).  These policies couple consecutive windows to one
-  // armed group, so they run serially and are not unit-addressable —
-  // which also rules out checkpointing.
-  if (!config_.checkpoint_dir.empty()) {
-    throw ConfigError(
-        "campaign checkpointing requires inj_policy per_image for "
-        "classification (batched policies are not unit-addressable)");
-  }
-  if (config_.steering.enabled()) {
-    throw ConfigError(
-        "campaign steering (--budget/--steer/--vuln-map) requires inj_policy "
-        "per_image for classification (batched policies are not "
-        "unit-addressable)");
-  }
-  if (config_.jobs != 1) {
-    ALFI_LOG(kInfo) << "inj_policy " << to_string(scenario.inj_policy)
-                    << " runs serially; --jobs applies to per_image only";
-  }
-  prepare();
-  run_batched();
-  finalize();
-  finish_metrics(run_watch.elapsed_seconds());
+  result_.skipped_injections =
+      metrics_.counter("injections.skipped_batch_slot").value();
+  write_campaign_metrics(*this, metrics_, run_watch.elapsed_seconds(),
+                         resolved_backend_);
   return result_;
 }
 
-void TestErrorModelsImgClass::finish_metrics(double wall_seconds) {
-  result_.skipped_injections =
-      metrics_.counter("injections.skipped_batch_slot").value();
-  if (config_.metrics_path.empty()) return;
-  io::MetricsFileInfo info;
-  info.task_kind = task_kind();
-  info.jobs = config_.jobs;
-  info.wall_seconds = wall_seconds;
-  info.backend = resolved_backend_;
-  info.numeric_type = nn::to_string(wrapper_.get_scenario().numeric_type);
-  io::write_metrics_file(config_.metrics_path, metrics_, info);
-}
-
+/// The batched policies on one replica stack, window by window.  Each
+/// window arms its group in closed form: per_batch arms group w (the
+/// global window index, also its inference index) with neuron slots
+/// remapped onto the window's occupancy; per_epoch arms the epoch's
+/// group as drawn under the epoch's inference index.
 void TestErrorModelsImgClass::run_batched() {
   const Scenario& scenario = wrapper_.get_scenario();
+  const bool per_batch = scenario.inj_policy == InjectionPolicy::kPerBatch;
   const bool write_outputs = !config_.output_dir.empty();
   const std::size_t group = scenario.max_faults_per_image;
+  const std::size_t windows_per_epoch =
+      (scenario.dataset_size + scenario.batch_size - 1) / scenario.batch_size;
   data::ClassificationLoader loader(dataset_, scenario.batch_size);
 
-  EvalSink out;
-  ModelMonitor monitor(model_);
-  monitor.set_metrics(&metrics_);
-  wrapper_.injector().set_metrics(&metrics_);
   // The batched policies are not unit-addressable, so one armed window
   // is the closest analogue of an executor unit.
   util::Counter& units_total = metrics_.counter("units.total");
   util::Counter& units_computed = metrics_.counter("units.computed");
   util::Histogram& unit_ms = metrics_.histogram("campaign.unit_ms");
-  std::unique_ptr<Protection> protection;
-  if (config_.mitigation) {
-    protection = std::make_unique<Protection>(model_, bounds_, *config_.mitigation);
-    protection->set_enabled(false);
-  }
-  ExecContext ctx{&model_, &wrapper_.injector(), &monitor, protection.get()};
   // A short final batch changes the input shape, which replans the
   // workspaces for that window and again on the next epoch's first
   // full batch — correct either way, just two extra plan passes.
-  nn::InferenceWorkspace ws_orig, ws_corr, ws_resil;
-  if (config_.workspace) {
-    ctx.ws_orig = &ws_orig;
-    ctx.ws_corr = &ws_corr;
-    ctx.ws_resil = &ws_resil;
-    if (config_.diff) {
-      ctx.diff = true;
-      for (nn::InferenceWorkspace* ws : {&ws_corr, &ws_resil}) {
-        ws->set_prefix_baseline(&ws_orig);
-        ws->add_prefix_observer(&monitor);
-        if (protection != nullptr) ws->add_prefix_observer(protection.get());
-      }
-      ctx.diff_skipped = &metrics_.counter("campaign.diff.layers_skipped");
-      ctx.diff_hits = &metrics_.counter("campaign.diff.prefix_hits");
-      ctx.diff_misses = &metrics_.counter("campaign.diff.prefix_misses");
-    }
-  }
-  const std::size_t base_records = wrapper_.injector().records().size();
-  FaultModelIterator iterator = wrapper_.get_fimodel_iter();
+  InjectionStack stack = make_stack();
+  Injector& injector = stack.injector();
+  Triple trip;
+  EvalSink out;
 
   for (std::size_t epoch = 0; epoch < scenario.num_runs; ++epoch) {
-    std::size_t epoch_group_start = 0;
-    if (scenario.inj_policy == InjectionPolicy::kPerEpoch) {
-      iterator.next();  // consume the epoch's group
-      epoch_group_start = iterator.position() - group;
-      wrapper_.injector().disarm();
+    if (!per_batch) {
+      // The epoch's group is armed once on entry and released again
+      // before its first window: its weight faults log one record each
+      // and count as armed, applied and restored.
+      injector.set_inference_index(epoch);
+      injector.arm(wrapper_.fault_matrix().slice(epoch * group, group));
+      injector.disarm();
     }
 
     std::size_t images_done = 0;
@@ -906,36 +686,37 @@ void TestErrorModelsImgClass::run_batched() {
       const data::ClassificationBatch batch = loader.batch(b);
       const std::size_t use =
           std::min(batch.size(), scenario.dataset_size - images_done);
+      const std::size_t window = per_batch ? epoch * windows_per_epoch + b : epoch;
+      const std::vector<Fault> faults =
+          wrapper_.fault_matrix().slice(window * group, group);
 
-      std::size_t group_start = epoch_group_start;
       const Stopwatch window_watch;
-      const std::size_t window_base = wrapper_.injector().records().size();
-      const TripleOutputs trip = run_triple(ctx, batch.images, batch.images, [&] {
-        if (scenario.inj_policy == InjectionPolicy::kPerBatch) {
-          // Arm against the window's actual occupancy: a fault drawn
-          // for a slot past the scored images of a short final batch is
-          // remapped (slot % use) instead of silently skipped, so every
-          // drawn fault lands on a scored image.
-          iterator.next_for_window(use);
-          group_start = iterator.position() - group;
-        } else {
-          wrapper_.injector().arm(
-              wrapper_.fault_matrix().slice(epoch_group_start, group));
+      const std::size_t window_base = injector.records().size();
+      run_triple(stack, trip, batch.images, batch.images, [&] {
+        std::vector<Fault> armed = faults;
+        if (per_batch) {
+          // A fault drawn for a slot past the scored images of a short
+          // final batch lands on window_slot() instead of being skipped.
+          for (Fault& f : armed) {
+            if (f.target == FaultTarget::kNeurons && f.batch >= 0) {
+              f.batch = window_slot(f.batch, use);
+            }
+          }
+          injector.set_inference_index(window);
         }
+        injector.arm(std::move(armed));
       });
       evaluate_window(out, config_.top_k, write_outputs, *trip.orig, *trip.corr,
                       trip.resil,
                       std::span<const std::size_t>(batch.labels.data(), use),
                       std::span<const data::ImageMeta>(batch.metas.data(), use),
                       trip.window_due, epoch,
-                      [&](std::size_t) {
-                        return wrapper_.fault_matrix().slice(group_start, group);
-                      },
+                      [&](std::size_t) { return faults; },
                       [&](std::size_t i) {
                         // A window shares one armed group; attribute each
                         // record to the slot it landed on (weight faults and
                         // batch-agnostic faults corrupt every slot).
-                        const auto& recs = wrapper_.injector().records();
+                        const auto& recs = injector.records();
                         std::size_t applied = 0;
                         for (std::size_t ri = window_base; ri < recs.size(); ++ri) {
                           const Fault& f = recs[ri].fault;
@@ -951,14 +732,8 @@ void TestErrorModelsImgClass::run_batched() {
       units_computed.add();
       images_done += use;
     }
-    wrapper_.injector().disarm();
   }
-  if (config_.workspace) {
-    metrics_.gauge("campaign.arena_high_water_bytes")
-        .set(static_cast<double>(ws_corr.high_water_bytes()));
-  }
-  const auto& recs = wrapper_.injector().records();
-  trace_.assign(recs.begin() + base_records, recs.end());
+  trace_ = injector.take_records();
 
   kpis_.merge(out.kpis);
   result_rows_ = std::move(out.result_rows);

@@ -22,7 +22,9 @@
 // checkpoint/resume; this class contributes the unit computation
 // (one image under one fault group) and the ordered merge.  Batched
 // policies (per_batch / per_epoch) couple consecutive windows to one
-// armed group and keep the legacy serial loop (no checkpointing).
+// armed group and run a serial window loop (no checkpointing).  Every
+// path computes on core::InjectionStack replicas, never on the wrapped
+// model itself.
 #pragma once
 
 #include <optional>
@@ -30,6 +32,7 @@
 #include <vector>
 
 #include "core/campaign_task.h"
+#include "core/injection_stack.h"
 #include "core/kpi.h"
 #include "core/mitigation.h"
 #include "core/monitor.h"
@@ -49,11 +52,11 @@ struct ImgClassCampaignConfig : CampaignConfigBase {
 
 struct ImgClassCampaignResult {
   ClassificationKpis kpis;
-  /// Injector-level skip backstop (Injector::skipped_injection_count()).
-  /// Campaign-generated per-batch faults are remapped onto the actual
-  /// window occupancy before arming (slot % occupancy), so this stays 0
-  /// for generated matrices; loaded fault files hand-crafted with
-  /// out-of-range slots on per_image campaigns still surface here.
+  /// Injector-level skip backstop (the injections.skipped_batch_slot
+  /// counter).  Campaign-generated per-batch faults are remapped onto
+  /// the actual window occupancy before arming (window_slot()), so this
+  /// stays 0 for generated matrices; loaded fault files hand-crafted
+  /// with out-of-range slots on per_image campaigns still surface here.
   std::size_t skipped_injections = 0;
   std::string results_csv;     // per-image faulty-run results ("" if not written)
   std::string fault_free_csv;  // fault-free outputs
@@ -87,7 +90,7 @@ class TestErrorModelsImgClass final : public CampaignTask {
   std::size_t unit_count() const override;
   std::uint64_t fingerprint() const override;
   void prepare() override;
-  std::unique_ptr<CampaignUnitRunner> make_unit_runner(bool shared_model) override;
+  std::unique_ptr<CampaignUnitRunner> make_unit_runner() override;
   /// Unbounded for neuron-fault campaigns (each unit's group arms on its
   /// own batch slot); 1 when any fault targets weights — weights are
   /// shared across a packed pass, so those campaigns stay unit-at-a-time.
@@ -109,8 +112,9 @@ class TestErrorModelsImgClass final : public CampaignTask {
  private:
   friend class ImgClassUnitRunner;
 
+  /// A worker's injection stack over a fresh replica of the prepared model.
+  InjectionStack make_stack();
   void run_batched();
-  void finish_metrics(double wall_seconds);
 
   nn::Module& model_;
   const data::ClassificationDataset& dataset_;

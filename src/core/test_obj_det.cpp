@@ -2,26 +2,15 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <limits>
+#include <functional>
 
-#include "core/campaign.h"
 #include "core/fleet.h"
-#include "io/metrics_json.h"
-#include "nn/workspace.h"
-#include "tensor/backend.h"
 #include "util/hash.h"
-#include "util/logging.h"
 #include "util/stopwatch.h"
 
 namespace alfi::core {
 
 namespace {
-
-Tensor probe_input(const data::DetectionDataset& dataset) {
-  const data::DetectionSample sample = dataset.get(0);
-  const Shape& s = sample.image.shape();
-  return sample.image.reshaped(Shape{1, s[0], s[1], s[2]});
-}
 
 /// COCO results format: flat list of {image_id, category_id, bbox, score}.
 io::Json detections_to_coco(const std::vector<std::int64_t>& image_ids,
@@ -124,85 +113,27 @@ bool fault_addresses_unit(const Scenario& scenario, const Fault& fault,
                           const UnitAddress& addr) {
   if (fault.batch < 0) return true;
   if (scenario.inj_policy == InjectionPolicy::kPerBatch) {
-    return fault.batch % static_cast<std::int64_t>(addr.occupancy) ==
+    return window_slot(fault.batch, addr.occupancy) ==
            static_cast<std::int64_t>(addr.slot);
   }
   return fault.batch == static_cast<std::int64_t>(addr.slot);
 }
 
-/// Fault groups the campaign consumes (the highest group number + 1).
-std::size_t groups_needed(const Scenario& scenario) {
-  switch (scenario.inj_policy) {
-    case InjectionPolicy::kPerImage:
-      return scenario.num_runs * scenario.dataset_size;
-    case InjectionPolicy::kPerBatch:
-      return scenario.num_runs *
-             ((scenario.dataset_size + scenario.batch_size - 1) /
-              scenario.batch_size);
-    case InjectionPolicy::kPerEpoch:
-      return scenario.num_runs;
-  }
-  return 0;
-}
-
 }  // namespace
 
-/// Per-worker unit engine for the detection campaign.  A shared runner
-/// drives the wrapped original detector (single-shard serial path);
-/// otherwise it owns a Detector::clone() replica with its own injection
-/// stack.
+/// Per-worker unit engine for the detection campaign: a
+/// Detector::clone() replica whose network carries one InjectionStack.
+/// One self-baselined workspace suffices — detect() decodes each pass's
+/// output into Detection vectors before the next pass overwrites it.
 class ObjDetUnitRunner final : public CampaignUnitRunner {
  public:
-  ObjDetUnitRunner(TestErrorModelsObjDet& harness, bool shared_model)
-      : h_(harness) {
-    const Scenario& scenario = h_.wrapper_.get_scenario();
-    if (shared_model) {
-      detector_ = &h_.detector_;
-      injector_ptr_ = &h_.wrapper_.injector();
-    } else {
-      replica_ = h_.detector_.clone();
-      profile_ = std::make_unique<ModelProfile>(replica_->network(),
-                                                probe_input(h_.dataset_));
-      if (h_.store_) {
-        // Bit-exact copy of the primary stored representation, rebound
-        // onto the replica's parameters (never rebuilt from the
-        // dequantized values — scales could round differently).
-        replica_store_ = std::make_unique<nn::StoredWeightStore>(
-            replica_->network(), *h_.store_);
-      }
-      injector_ = std::make_unique<Injector>(replica_->network(), *profile_,
-                                             scenario.duration);
-      injector_->set_numeric_type(scenario.numeric_type);
-      injector_->set_stored_weights(replica_store_.get());
-      detector_ = replica_.get();
-      injector_ptr_ = injector_.get();
-    }
-    injector_ptr_->set_metrics(&h_.metrics_);
-    monitor_ = std::make_unique<ModelMonitor>(detector_->network());
-    monitor_->set_metrics(&h_.metrics_);
-    if (h_.config_.mitigation) {
-      protection_ = std::make_unique<Protection>(detector_->network(), h_.bounds_,
-                                                 *h_.config_.mitigation);
-      protection_->set_enabled(false);
-    }
-    if (h_.config_.workspace) {
-      // One workspace suffices: detect() decodes each pass's output into
-      // Detection vectors before the next pass overwrites the slots.
-      detector_->set_workspace(&ws_);
-      arena_gauge_ = &h_.metrics_.gauge("campaign.arena_high_water_bytes");
-      if (h_.config_.diff) {
-        // Self-baseline: a differential pass only overwrites suffix
-        // slots, so prefix slots keep their fault-free values from this
-        // unit's pass 1 — valid to replay for passes 2 and 3.
-        diff_ = true;
-        ws_.set_prefix_baseline(&ws_);
-        ws_.add_prefix_observer(monitor_.get());
-        if (protection_) ws_.add_prefix_observer(protection_.get());
-        diff_skipped_ = &h_.metrics_.counter("campaign.diff.layers_skipped");
-        diff_hits_ = &h_.metrics_.counter("campaign.diff.prefix_hits");
-        diff_misses_ = &h_.metrics_.counter("campaign.diff.prefix_misses");
-      }
-    }
+  explicit ObjDetUnitRunner(TestErrorModelsObjDet& harness)
+      : h_(harness),
+        detector_(harness.detector_.clone()),
+        stack_(std::shared_ptr<nn::Module>(detector_, &detector_->network()),
+               single_image_batch(harness.dataset_.get(0).image),
+               harness.stack_spec(), WorkspaceLayout::kShared) {
+    detector_->set_workspace(stack_.ws_orig());
   }
 
   ~ObjDetUnitRunner() override { detector_->set_workspace(nullptr); }
@@ -213,14 +144,14 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
     const std::size_t group = scenario.max_faults_per_image;
 
     const data::DetectionSample sample = h_.dataset_.get(addr.img);
-    const Shape& s = sample.image.shape();
-    const Tensor input = sample.image.reshaped(Shape{1, s[0], s[1], s[2]});
+    const Tensor input = single_image_batch(sample.image);
 
     // Arms the unit's fault group, remapping each neuron fault's batch
     // slot onto this single-image inference (weight faults apply
     // regardless of slot).  fault_addresses_unit takes the drawn slot
     // modulo the batch's occupancy, so a per-batch fault drawn past a
     // short final batch arms on a scored image instead of vanishing.
+    Injector& injector = stack_.injector();
     const auto arm = [&] {
       std::vector<Fault> armed;
       for (const Fault& f :
@@ -233,78 +164,14 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
           armed.push_back(remapped);
         }
       }
-      injector_ptr_->set_inference_index(t);
-      injector_ptr_->arm(std::move(armed));
+      injector.set_inference_index(t);
+      injector.arm(std::move(armed));
     };
 
-    const std::size_t base_records = injector_ptr_->records().size();
+    injector.clear_records();
+    const Passes passes = run_passes(input, arm, 1);
 
-    // ---- pass 1: fault-free -------------------------------------------------
-    injector_ptr_->disarm();
-    if (protection_) protection_->set_enabled(false);
-    auto orig = detector_->detect(input, h_.config_.conf_threshold);
-
-    // ---- pass 2: faulty -----------------------------------------------------
-    arm();
-    monitor_->reset();
-    // Both remaining passes arm the identical fault group, so one
-    // boundary serves pass 2 and pass 3 — which also guarantees pass 3
-    // never replays a slot pass 2 overwrote.
-    std::size_t boundary = 0;
-    if (diff_) boundary = diff_prefix_boundary(*injector_ptr_, ws_);
-    const auto note_diff = [this] {
-      if (!diff_) return;
-      const std::size_t reused = ws_.prefix_reused_last_run();
-      diff_skipped_->add(reused);
-      (reused > 0 ? diff_hits_ : diff_misses_)->add();
-    };
-    ws_.set_prefix_boundary(boundary);
-    auto corr = detector_->detect(input, h_.config_.conf_threshold);
-    note_diff();
-    const bool due = monitor_->due_detected();
-
-    // ---- pass 3: hardened ---------------------------------------------------
-    std::vector<models::Detection> resil;
-    if (protection_) {
-      injector_ptr_->disarm();
-      arm();
-      protection_->set_enabled(true);
-      ws_.set_prefix_boundary(boundary);
-      auto resil_batched = detector_->detect(input, h_.config_.conf_threshold);
-      note_diff();
-      protection_->set_enabled(false);
-      resil = std::move(resil_batched[0]);
-    }
-    injector_ptr_->disarm();
-    if (arena_gauge_ != nullptr) {
-      arena_gauge_->set(static_cast<double>(ws_.high_water_bytes()));
-    }
-
-    // ---- verdicts + payload -------------------------------------------------
-    const bool sde = !due && detections_differ(orig[0], corr[0]);
-    const bool resil_sde =
-        protection_ && !due && detections_differ(orig[0], resil);
-
-    io::ByteWriter w;
-    w.write_u8(due ? 1 : 0);
-    w.write_u8(sde ? 1 : 0);
-    w.write_u8(resil_sde ? 1 : 0);
-    // mAP is evaluated over one pass of the dataset, so detections only
-    // ride along for epoch-0 units.
-    w.write_u8(addr.epoch == 0 ? 1 : 0);
-    if (addr.epoch == 0) {
-      w.write_i64(sample.meta.image_id);
-      write_detections(w, orig[0]);
-      write_detections(w, corr[0]);
-      w.write_u8(protection_ ? 1 : 0);
-      if (protection_) write_detections(w, resil);
-    }
-    const auto& recs = injector_ptr_->records();
-    w.write_u64(recs.size() - base_records);
-    for (std::size_t i = base_records; i < recs.size(); ++i) {
-      write_record_bytes(w, recs[i]);
-    }
-    return w.take();
+    return payload(addr, sample, passes, 0, injector.records());
   }
 
   /// Packed execution (DESIGN.md §12): the given units run as one
@@ -337,8 +204,9 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
     // Arm every unit's addressed faults on its slot.  max_unit_pack()
     // guarantees no weight faults reach a packed pass (weights are
     // shared across slots).
+    Injector& injector = stack_.injector();
     const auto arm = [&] {
-      injector_ptr_->set_inference_index(units[0]);
+      injector.set_inference_index(units[0]);
       std::vector<Fault> armed;
       for (std::size_t i = 0; i < count; ++i) {
         for (const Fault& f :
@@ -350,117 +218,117 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
           }
         }
       }
-      injector_ptr_->arm(std::move(armed));
+      injector.arm(std::move(armed));
     };
 
-    const std::size_t base_records = injector_ptr_->records().size();
-    monitor_->set_slot_count(count);
+    injector.clear_records();
+    const Passes passes = run_passes(packed, arm, count);
+    const std::vector<std::vector<InjectionRecord>> per_unit_records =
+        stack_.split_pack_records(units);
 
-    // ---- pass 1: fault-free -------------------------------------------------
-    injector_ptr_->disarm();
-    if (protection_) protection_->set_enabled(false);
-    auto orig = detector_->detect(packed, h_.config_.conf_threshold);
-
-    // ---- pass 2: faulty -----------------------------------------------------
-    arm();
-    monitor_->reset();
-    std::size_t boundary = 0;
-    if (diff_) boundary = diff_prefix_boundary(*injector_ptr_, ws_);
-    const auto note_diff = [this] {
-      if (!diff_) return;
-      const std::size_t reused = ws_.prefix_reused_last_run();
-      diff_skipped_->add(reused);
-      (reused > 0 ? diff_hits_ : diff_misses_)->add();
-    };
-    ws_.set_prefix_boundary(boundary);
-    auto corr = detector_->detect(packed, h_.config_.conf_threshold);
-    note_diff();
-    // Per-slot DUE verdicts, read at the same point a serial unit reads
-    // its flag: after the faulty pass, before the hardened one.
-    std::vector<std::uint8_t> due(count, 0);
-    for (std::size_t i = 0; i < count; ++i) {
-      due[i] = monitor_->slot_due(i) ? 1 : 0;
-    }
-
-    // ---- pass 3: hardened ---------------------------------------------------
-    std::vector<std::vector<models::Detection>> resil;
-    if (protection_) {
-      injector_ptr_->disarm();
-      arm();
-      protection_->set_enabled(true);
-      ws_.set_prefix_boundary(boundary);
-      resil = detector_->detect(packed, h_.config_.conf_threshold);
-      note_diff();
-      protection_->set_enabled(false);
-    }
-    injector_ptr_->disarm();
-    monitor_->set_slot_count(0);
-    if (arena_gauge_ != nullptr) {
-      arena_gauge_->set(static_cast<double>(ws_.high_water_bytes()));
-    }
-
-    // Rewrite the packed pass's records into per-unit serial form (the
-    // recorded slot names the owning unit; a serial unit records batch
-    // 0 under its own inference index).
-    std::vector<InjectionRecord>& recs = injector_ptr_->records_mutable();
-    std::vector<std::vector<InjectionRecord>> per_unit_records(count);
-    for (std::size_t r = base_records; r < recs.size(); ++r) {
-      InjectionRecord record = recs[r];
-      const std::size_t slot = static_cast<std::size_t>(record.fault.batch);
-      record.fault.batch = 0;
-      record.inference_index = units[slot];
-      per_unit_records[slot].push_back(record);
-      recs[r] = record;
-    }
-
-    // ---- per-unit verdicts + payloads ---------------------------------------
     std::vector<std::string> payloads;
     payloads.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      const bool unit_due = due[i] != 0;
-      const bool sde = !unit_due && detections_differ(orig[i], corr[i]);
-      const bool resil_sde =
-          protection_ && !unit_due && detections_differ(orig[i], resil[i]);
-
-      io::ByteWriter w;
-      w.write_u8(unit_due ? 1 : 0);
-      w.write_u8(sde ? 1 : 0);
-      w.write_u8(resil_sde ? 1 : 0);
-      w.write_u8(addrs[i].epoch == 0 ? 1 : 0);
-      if (addrs[i].epoch == 0) {
-        w.write_i64(samples[i].meta.image_id);
-        write_detections(w, orig[i]);
-        write_detections(w, corr[i]);
-        w.write_u8(protection_ ? 1 : 0);
-        if (protection_) write_detections(w, resil[i]);
-      }
-      w.write_u64(per_unit_records[i].size());
-      for (const InjectionRecord& record : per_unit_records[i]) {
-        write_record_bytes(w, record);
-      }
-      payloads.push_back(w.take());
+      payloads.push_back(
+          payload(addrs[i], samples[i], passes, i, per_unit_records[i]));
     }
     return payloads;
   }
 
  private:
+  /// Detections of the three coupled passes, one list per batch slot.
+  struct Passes {
+    std::vector<std::vector<models::Detection>> orig, corr, resil;
+    std::vector<bool> due;  ///< per-slot DUE verdict of the faulty pass
+  };
+
+  /// Fault-free, faulty and (with mitigation) hardened pass over
+  /// `input`'s `slots` images, re-arming `arm`'s group for each armed
+  /// pass.  A packed pass (slots > 1) reads per-slot DUE verdicts at the
+  /// point a serial unit reads its flag: after the faulty pass, before
+  /// the hardened one.
+  Passes run_passes(const Tensor& input, const std::function<void()>& arm,
+                    std::size_t slots) {
+    Injector& injector = stack_.injector();
+    ModelMonitor& monitor = stack_.monitor();
+    Protection* protection = stack_.protection();
+    nn::InferenceWorkspace* ws = stack_.ws_orig();
+    const float threshold = h_.config_.conf_threshold;
+    Passes passes;
+    if (slots > 1) monitor.set_slot_count(slots);
+
+    // ---- pass 1: fault-free -------------------------------------------------
+    injector.disarm();
+    if (protection != nullptr) protection->set_enabled(false);
+    passes.orig = detector_->detect(input, threshold);
+
+    // ---- pass 2: faulty -----------------------------------------------------
+    arm();
+    monitor.reset();
+    // Both remaining passes arm the identical fault group, so one
+    // boundary serves pass 2 and pass 3 — which also guarantees pass 3
+    // never replays a slot pass 2 overwrote.
+    const std::size_t boundary = stack_.diff_boundary();
+    if (ws != nullptr) ws->set_prefix_boundary(boundary);
+    passes.corr = detector_->detect(input, threshold);
+    if (ws != nullptr) stack_.note_diff(*ws);
+    if (slots > 1) {
+      for (std::size_t i = 0; i < slots; ++i) {
+        passes.due.push_back(monitor.slot_due(i));
+      }
+    } else {
+      passes.due.push_back(monitor.due_detected());
+    }
+
+    // ---- pass 3: hardened ---------------------------------------------------
+    if (protection != nullptr) {
+      injector.disarm();
+      arm();
+      protection->set_enabled(true);
+      if (ws != nullptr) ws->set_prefix_boundary(boundary);
+      passes.resil = detector_->detect(input, threshold);
+      if (ws != nullptr) stack_.note_diff(*ws);
+      protection->set_enabled(false);
+    }
+    injector.disarm();
+    monitor.set_slot_count(0);
+    stack_.note_arena();
+    return passes;
+  }
+
+  /// Unit payload of batch slot `slot`: IVMOD verdicts, epoch-0
+  /// detections for mAP (evaluated over one pass of the dataset) and the
+  /// unit's injection records.
+  static std::string payload(const UnitAddress& addr,
+                             const data::DetectionSample& sample,
+                             const Passes& passes, std::size_t slot,
+                             const std::vector<InjectionRecord>& records) {
+    const bool mitigated = !passes.resil.empty();
+    const bool due = passes.due[slot];
+    const auto& orig = passes.orig[slot];
+    const bool sde = !due && detections_differ(orig, passes.corr[slot]);
+    const bool resil_sde =
+        mitigated && !due && detections_differ(orig, passes.resil[slot]);
+    io::ByteWriter w;
+    w.write_u8(due ? 1 : 0);
+    w.write_u8(sde ? 1 : 0);
+    w.write_u8(resil_sde ? 1 : 0);
+    w.write_u8(addr.epoch == 0 ? 1 : 0);
+    if (addr.epoch == 0) {
+      w.write_i64(sample.meta.image_id);
+      write_detections(w, orig);
+      write_detections(w, passes.corr[slot]);
+      w.write_u8(mitigated ? 1 : 0);
+      if (mitigated) write_detections(w, passes.resil[slot]);
+    }
+    w.write_u64(records.size());
+    for (const InjectionRecord& record : records) write_record_bytes(w, record);
+    return w.take();
+  }
+
   TestErrorModelsObjDet& h_;
-  std::unique_ptr<models::Detector> replica_;  // null when sharing the original
-  std::unique_ptr<ModelProfile> profile_;
-  // Declared before injector_: the injector's destructor restores
-  // corrupted weights through the store.
-  std::unique_ptr<nn::StoredWeightStore> replica_store_;
-  std::unique_ptr<Injector> injector_;
-  std::unique_ptr<ModelMonitor> monitor_;
-  std::unique_ptr<Protection> protection_;
-  models::Detector* detector_ = nullptr;
-  Injector* injector_ptr_ = nullptr;
-  nn::InferenceWorkspace ws_;
-  util::Gauge* arena_gauge_ = nullptr;
-  bool diff_ = false;
-  util::Counter* diff_skipped_ = nullptr;
-  util::Counter* diff_hits_ = nullptr;
-  util::Counter* diff_misses_ = nullptr;
+  std::shared_ptr<models::Detector> detector_;
+  InjectionStack stack_;
 };
 
 TestErrorModelsObjDet::TestErrorModelsObjDet(models::Detector& detector,
@@ -470,7 +338,8 @@ TestErrorModelsObjDet::TestErrorModelsObjDet(models::Detector& detector,
     : detector_(detector),
       dataset_(dataset),
       config_(std::move(config)),
-      wrapper_(detector.network(), std::move(scenario), probe_input(dataset)) {
+      wrapper_(detector.network(), std::move(scenario),
+               single_image_batch(dataset.get(0).image)) {
   ALFI_CHECK(wrapper_.get_scenario().dataset_size <= dataset.size(),
              "scenario dataset_size exceeds the dataset");
   if (wrapper_.get_scenario().duration != FaultDuration::kTransient) {
@@ -500,20 +369,7 @@ void TestErrorModelsObjDet::prepare() {
   const Scenario& scenario = wrapper_.get_scenario();
   const bool write_outputs = !config_.output_dir.empty();
 
-  // Inference configuration (DESIGN.md §13): resolve the backend — an
-  // unavailable explicit choice fails here, loudly — and install the
-  // weight representation before calibration so the hardened bounds are
-  // profiled on the model the campaign actually runs.
-  tensor::Backend& backend = tensor::resolve_backend(scenario.backend);
-  tensor::set_active_backend(backend);
-  resolved_backend_ = backend.name();
-  if (nn::is_stored_type(scenario.numeric_type)) {
-    if (!store_) store_.emplace(detector_.network(), scenario.numeric_type);
-  } else if (scenario.numeric_type != nn::NumericType::kFloat32) {
-    nn::quantize_parameters(detector_.network(), scenario.numeric_type);
-  }
-  wrapper_.injector().set_numeric_type(scenario.numeric_type);
-  wrapper_.injector().set_stored_weights(store_ ? &*store_ : nullptr);
+  resolved_backend_ = install_inference_config(detector_.network(), scenario, store_);
 
   ivmod_ = {};
   ivmod_.has_resil = config_.mitigation.has_value();
@@ -525,10 +381,7 @@ void TestErrorModelsObjDet::prepare() {
   trace_.clear();
   result_ = {};
 
-  ALFI_CHECK(wrapper_.fault_matrix().size() >=
-                 groups_needed(scenario) * scenario.max_faults_per_image,
-             "fault matrix smaller than the campaign needs: increase "
-             "dataset_size/num_runs or load a larger fault file");
+  check_fault_capacity(scenario, wrapper_.fault_matrix());
 
   if (write_outputs) {
     std::filesystem::create_directories(config_.output_dir);
@@ -557,24 +410,23 @@ void TestErrorModelsObjDet::prepare() {
     const std::size_t count = std::min(config_.calibration_images, dataset_.size());
     ALFI_CHECK(count > 0, "no calibration images available");
     for (std::size_t i = 0; i < count; ++i) {
-      const data::DetectionSample sample = dataset_.get(i);
-      const Shape& s = sample.image.shape();
-      calibration.push_back(sample.image.reshaped(Shape{1, s[0], s[1], s[2]}));
+      calibration.push_back(single_image_batch(dataset_.get(i).image));
     }
     bounds_ = profile_activation_ranges(detector_.network(), calibration);
   }
 }
 
-std::unique_ptr<CampaignUnitRunner> TestErrorModelsObjDet::make_unit_runner(
-    bool shared_model) {
-  return std::make_unique<ObjDetUnitRunner>(*this, shared_model);
+InjectionStackSpec TestErrorModelsObjDet::stack_spec() {
+  return {wrapper_.get_scenario(), config_, store_ ? &*store_ : nullptr, bounds_,
+          metrics_};
+}
+
+std::unique_ptr<CampaignUnitRunner> TestErrorModelsObjDet::make_unit_runner() {
+  return std::make_unique<ObjDetUnitRunner>(*this);
 }
 
 std::size_t TestErrorModelsObjDet::max_unit_pack() const {
-  for (const Fault& fault : wrapper_.fault_matrix().faults()) {
-    if (fault.target == FaultTarget::kWeights) return 1;
-  }
-  return std::numeric_limits<std::size_t>::max();
+  return slot_pack_limit(wrapper_.fault_matrix());
 }
 
 std::vector<SteeringCellKey> TestErrorModelsObjDet::steering_cells() const {
@@ -583,26 +435,13 @@ std::vector<SteeringCellKey> TestErrorModelsObjDet::steering_cells() const {
   const std::size_t group = scenario.max_faults_per_image;
   const auto& matrix = wrapper_.fault_matrix();
 
-  const ModelProfile& profile = wrapper_.profile();
-  std::vector<SteeringCellKey> cells(units);
+  std::vector<SteeringCellKey> cells;
+  cells.reserve(units);
   for (std::size_t t = 0; t < units; ++t) {
     const UnitAddress addr = address_unit(scenario, t);
     if (addr.group_start + group > matrix.size()) return {};
-    // Attribute the unit to its addressed group's FIRST fault — exact
-    // for max_faults_per_image == 1.
-    const Fault& fault = matrix.faults()[addr.group_start];
-    SteeringCellKey& key = cells[t];
-    key.layer = fault.layer;
-    key.value_type = fault.value_type;
-    key.bit_pos = fault.value_type == ValueType::kBitFlip ||
-                          fault.value_type == ValueType::kStuckAt0 ||
-                          fault.value_type == ValueType::kStuckAt1
-                      ? fault.bit_pos
-                      : -1;
-    if (fault.layer >= 0 &&
-        static_cast<std::size_t>(fault.layer) < profile.layer_count()) {
-      key.role = nn::layer_kind_name(profile.layer(fault.layer).kind);
-    }
+    cells.push_back(steering_cell_of(matrix.faults()[addr.group_start],
+                                     wrapper_.profile()));
   }
   return cells;
 }
@@ -679,38 +518,11 @@ void TestErrorModelsObjDet::finalize() {
 
 ObjDetCampaignResult TestErrorModelsObjDet::run() {
   const Stopwatch run_watch;
-  if (config_.fleet.worker_mode()) {
-    // A worker only streams unit frames; the coordinator writes every
-    // campaign output exactly once.
-    if (!config_.output_dir.empty()) {
-      ALFI_LOG(kInfo) << "fleet worker: ignoring output dir (the coordinator "
-                         "writes all outputs)";
-      config_.output_dir.clear();
-    }
-    const auto [host, port] = parse_host_port(config_.fleet.connect);
-    FleetWorker worker(*this, host, port, /*prepared=*/false);
-    const FleetWorkerStats stats = worker.run();
-    ALFI_LOG(kInfo) << "fleet worker done: " << stats.units_computed
-                    << " units over " << stats.leases_served << " leases"
-                    << (stats.drained ? " (drained)" : "");
-  } else if (config_.fleet.coordinator_mode()) {
-    FleetCoordinator coordinator(*this, &metrics_);
-    coordinator.execute();
-  } else {
-    CampaignExecutor executor(*this, &metrics_);
-    executor.execute();
-  }
+  execute_campaign_task(*this, config_, metrics_);
   result_.skipped_injections =
       metrics_.counter("injections.skipped_batch_slot").value();
-  if (!config_.metrics_path.empty()) {
-    io::MetricsFileInfo info;
-    info.task_kind = task_kind();
-    info.jobs = config_.jobs;
-    info.wall_seconds = run_watch.elapsed_seconds();
-    info.backend = resolved_backend_;
-    info.numeric_type = nn::to_string(wrapper_.get_scenario().numeric_type);
-    io::write_metrics_file(config_.metrics_path, metrics_, info);
-  }
+  write_campaign_metrics(*this, metrics_, run_watch.elapsed_seconds(),
+                         resolved_backend_);
   return result_;
 }
 

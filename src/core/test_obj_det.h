@@ -19,7 +19,8 @@
 // (epoch, image) and its fault group by closed-form arithmetic.  The
 // harness therefore runs entirely through core::CampaignExecutor as a
 // CampaignTask — gaining parallel --jobs (per-worker Detector::clone()
-// replicas) and crash-safe checkpoint/resume for free.
+// replicas carrying a core::InjectionStack) and crash-safe
+// checkpoint/resume for free.
 #pragma once
 
 #include <optional>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "core/campaign_task.h"
+#include "core/injection_stack.h"
 #include "core/kpi.h"
 #include "core/mitigation.h"
 #include "core/monitor.h"
@@ -87,7 +89,7 @@ class TestErrorModelsObjDet final : public CampaignTask {
   std::size_t unit_count() const override;
   std::uint64_t fingerprint() const override;
   void prepare() override;
-  std::unique_ptr<CampaignUnitRunner> make_unit_runner(bool shared_model) override;
+  std::unique_ptr<CampaignUnitRunner> make_unit_runner() override;
   /// Unbounded for neuron-fault campaigns (each unit's addressed faults
   /// arm on its own batch slot); 1 when any fault targets weights.
   std::size_t max_unit_pack() const override;
@@ -104,6 +106,9 @@ class TestErrorModelsObjDet final : public CampaignTask {
 
  private:
   friend class ObjDetUnitRunner;
+
+  /// Campaign-wide inputs of every worker's injection stack.
+  InjectionStackSpec stack_spec();
 
   models::Detector& detector_;
   const data::DetectionDataset& dataset_;

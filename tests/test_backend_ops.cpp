@@ -24,6 +24,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,14 @@
 #include "util/rng.h"
 
 namespace alfi::tensor {
+
+// gtest prints a pointer parameter as its address, and that text ends up in
+// the ctest names gtest_discover_tests registers; under ASLR it differs on
+// every discovery.  Print the backend's name so the test names are stable.
+// Outside the anonymous namespace so gtest finds it by argument-dependent
+// lookup.
+void PrintTo(Backend* backend, std::ostream* os) { *os << backend->name(); }
+
 namespace {
 
 // ---- grid helpers -----------------------------------------------------------

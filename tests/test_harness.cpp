@@ -163,6 +163,34 @@ TEST_F(ImgClassHarness, PerEpochPolicyRuns) {
   EXPECT_EQ(result.kpis.total, 48u);  // 24 images * 2 epochs
 }
 
+TEST_F(ImgClassHarness, UndersizedFaultFileFailsBeforeAnyOutput) {
+  // Every policy checks the loaded matrix against the groups it arms
+  // before writing anything: 24 images at batch 8 arm 3 per_batch
+  // windows, and 2 epochs arm 2 per_epoch groups — one fault is short
+  // of both.
+  Fault f;
+  f.target = FaultTarget::kNeurons;
+  f.layer = 0;
+  f.bit_pos = 0;
+  for (const InjectionPolicy policy :
+       {InjectionPolicy::kPerImage, InjectionPolicy::kPerBatch,
+        InjectionPolicy::kPerEpoch}) {
+    const test::TempDir dir("undersized");
+    const std::size_t faults = policy == InjectionPolicy::kPerEpoch ? 1 : 2;
+    FaultMatrix(std::vector<Fault>(faults, f)).save(dir.file("faults.bin"));
+    ImgClassCampaignConfig config;
+    config.fault_file = dir.file("faults.bin");
+    config.output_dir = dir.file("out");
+    Scenario s = scenario();
+    s.inj_policy = policy;
+    s.target = FaultTarget::kNeurons;
+    s.num_runs = 2;
+    TestErrorModelsImgClass harness(*model_, *dataset_, s, config);
+    EXPECT_THROW(harness.run(), Error) << to_string(policy);
+    EXPECT_FALSE(std::filesystem::exists(config.output_dir)) << to_string(policy);
+  }
+}
+
 TEST_F(ImgClassHarness, PermanentDurationRejected) {
   ImgClassCampaignConfig config;
   Scenario s = scenario();

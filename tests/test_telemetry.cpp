@@ -158,7 +158,9 @@ TEST_F(TelemetryCampaign, ShortFinalBatchRemapsSlotInsteadOfSkipping) {
   s.max_faults_per_image = 1;
   s.rnd_seed = 7;
 
+  const test::TempDir dir("short_batch");
   ImgClassCampaignConfig config;
+  config.output_dir = dir.str();
   TestErrorModelsImgClass harness(*model_, short_dataset, s, config);
 
   // Two batches -> two fault groups, both aimed at the last slot of a
@@ -185,7 +187,7 @@ TEST_F(TelemetryCampaign, ShortFinalBatchRemapsSlotInsteadOfSkipping) {
     if (name == "injections.skipped_batch_slot") EXPECT_EQ(value, 0u);
     if (name == "injections.applied") EXPECT_EQ(value, 2u);
   }
-  const auto& records = harness.wrapper().records();
+  const auto records = load_injection_records(result.trace_bin);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].fault.batch, 7);  // full batch: slot as drawn
   EXPECT_EQ(records[1].fault.batch, 1);  // short batch: 7 % 2

@@ -6,7 +6,8 @@
 # remap arithmetic, the differential-inference prefix bookkeeping, the
 # stored-code (fp16/int8) quantization paths and the Wilson-interval
 # arithmetic driving budgeted steering are the layers where silent UB
-# would corrupt campaign verdicts.
+# would corrupt campaign verdicts.  The parser- and injection-labeled
+# suites (decoders, scenario, injector, wrapper) run as well.
 # Usage:
 #
 #   tools/run_ubsan.sh [extra ctest args...]
