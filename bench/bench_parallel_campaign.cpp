@@ -61,7 +61,7 @@ struct CampaignRun {
   double unit_p50_ms = 0.0;
   double unit_p95_ms = 0.0;
   double unit_p99_ms = 0.0;
-  double arena_high_water_bytes = 0.0;  // 0 on the allocating path
+  double arena_high_water_bytes = 0.0;  // 0 under the oracle
 
   /// Whole-campaign rate: includes the fixed setup cost (fault-matrix
   /// generation, model profiling, result merge) that every path pays.
@@ -82,7 +82,7 @@ struct CampaignRun {
 CampaignRun run_campaign_once(std::size_t jobs,
                               const std::string& checkpoint_dir = "",
                               std::size_t checkpoint_every = 8,
-                              bool workspace = true, bool diff = true,
+                              bool oracle = false,
                               const core::Scenario* scenario = nullptr,
                               std::size_t unit_batch = 1,
                               std::size_t fleet_workers = 0,
@@ -92,8 +92,7 @@ CampaignRun run_campaign_once(std::size_t jobs,
   config.jobs = jobs;  // output_dir stays empty: KPIs only, no file IO
   config.checkpoint_dir = checkpoint_dir;
   config.checkpoint_every = checkpoint_every;
-  config.workspace = workspace;
-  config.diff = diff;
+  config.oracle = oracle;
   config.unit_batch = unit_batch;
   config.fleet.local_workers = fleet_workers;  // fork-based fleet run
   if (steering != nullptr) config.steering = *steering;
@@ -119,7 +118,7 @@ CampaignRun run_campaign_once(std::size_t jobs,
   return run;
 }
 
-/// The differential-inference showcase workload: the same campaign with
+/// The mid/late-network workload: the same campaign with
 /// every fault restricted to the back half of the injectable layers
 /// (conv3 + both linears on mini-alexnet).  Prefix reuse replays all
 /// leaves before the earliest armed layer, so mid/late-network faults —
@@ -130,8 +129,7 @@ core::Scenario mid_network_scenario() {
   s.layer_range = {{2, 4}};
   // Reshaped to 8 images x 16 epochs: multi-epoch geometry gives the
   // executor stride-packs (the same image under many epochs' fault
-  // groups), which is what both the differential runs and the
-  // --unit-batch runs below exercise.
+  // groups), which is what the --unit-batch runs below exercise.
   s.dataset_size = 8;
   s.num_runs = 16;
   return s;
@@ -208,10 +206,10 @@ void BM_CampaignUnitBatch(benchmark::State& state) {
   static const core::Scenario mid = mid_network_scenario();
   CampaignRun last;
   for (auto _ : state) {
-    last = run_campaign_once(1, "", 8, true, true, &mid, unit_batch);
+    last = run_campaign_once(1, "", 8, /*oracle=*/false, &mid, unit_batch);
   }
   static const double serial_unit_ms =
-      run_campaign_once(1, "", 8, true, true, &mid)
+      run_campaign_once(1, "", 8, /*oracle=*/false, &mid)
           .unit_mean_ms;  // shared unit-at-a-time baseline
   state.counters["batched_speedup"] =
       last.unit_mean_ms > 0.0 ? serial_unit_ms / last.unit_mean_ms : 0.0;
@@ -377,46 +375,37 @@ CampaignRun best_of(std::size_t repeats, RunFn&& run_fn) {
   return best;
 }
 
-/// Machine-readable summary consumed by perf-tracking scripts: serial
-/// workspace vs serial allocating (the headline zero-allocation
-/// speedup) plus the parallel workspace run.  Written after the
-/// google-benchmark tables so both forms come from one binary.
+/// Machine-readable summary consumed by perf-tracking scripts: the
+/// serial default path vs the serial oracle (what the arena workspace
+/// and prefix replay buy together) plus the parallel default run.
+/// Written after the google-benchmark tables so both forms come from
+/// one binary.
 ///
-/// workspace_speedup is the ratio of single-thread *unit* throughput
-/// (from the campaign.unit_ms histogram): the per-unit inference cost
-/// is what the arena path optimizes, while the fixed campaign setup
+/// oracle_speedup is the ratio of single-thread *unit* throughput (from
+/// the campaign.unit_ms histogram): the per-unit inference cost is what
+/// the default path optimizes, while the fixed campaign setup
 /// (fault-matrix generation, profiling, merge) is identical on both
 /// paths and amortizes away as campaigns grow.
 void write_bench_json(const std::string& path) {
-  std::printf("\n==== BENCH_campaign.json (workspace vs allocating) ====\n");
+  std::printf("\n==== BENCH_campaign.json (default path vs oracle) ====\n");
   run_campaign_once(1);  // warmup: populates the dataset render cache
-  // workspace_serial runs with diff disabled so workspace_speedup keeps
-  // measuring the arena effect alone; the diff effect is reported
-  // separately below on the workload where it matters.
-  const CampaignRun ws_serial =
-      best_of(3, [] { return run_campaign_once(1, "", 8, true, /*diff=*/false); });
-  const CampaignRun alloc_serial =
-      best_of(3, [] { return run_campaign_once(1, "", 8, /*workspace=*/false); });
-  const CampaignRun ws_jobs4 = run_campaign_once(4);
+  const CampaignRun default_serial = best_of(3, [] { return run_campaign_once(1); });
+  const CampaignRun oracle_serial =
+      best_of(3, [] { return run_campaign_once(1, "", 8, /*oracle=*/true); });
+  const CampaignRun default_jobs4 = run_campaign_once(4);
 
-  // Differential inference on mid/late-network faults: diff-on vs
-  // diff-off over the identical fault set, both serial on the workspace
-  // path, so the ratio isolates the prefix-reuse saving.
+  // Batched unit execution on the mid/late-network workload:
+  // --unit-batch 16 against the unit-at-a-time default run, both
+  // serial, so batched_speedup isolates the pack effect on top of
+  // prefix reuse.  With 16 epochs the packs are same-image (stride =
+  // dataset_size) and each pack computes the fault-free pass once for
+  // all 16 units.
   const core::Scenario mid = mid_network_scenario();
-  const CampaignRun diff_on = best_of(3, [&mid] {
-    return run_campaign_once(1, "", 8, true, /*diff=*/true, &mid);
+  const CampaignRun unit_serial = best_of(3, [&mid] {
+    return run_campaign_once(1, "", 8, /*oracle=*/false, &mid);
   });
-  const CampaignRun diff_off = best_of(3, [&mid] {
-    return run_campaign_once(1, "", 8, true, /*diff=*/false, &mid);
-  });
-
-  // Batched unit execution on the same mid/late-network workload:
-  // --unit-batch 16 against the unit-at-a-time diff run, both serial,
-  // so batched_speedup isolates the pack effect on top of prefix reuse.
-  // With 16 epochs the packs are same-image (stride = dataset_size) and
-  // each pack computes the fault-free pass once for all 16 units.
   const CampaignRun batched = best_of(3, [&mid] {
-    return run_campaign_once(1, "", 8, true, /*diff=*/true, &mid,
+    return run_campaign_once(1, "", 8, /*oracle=*/false, &mid,
                              /*unit_batch=*/16);
   });
 
@@ -433,7 +422,7 @@ void write_bench_json(const std::string& path) {
   std::filesystem::remove_all(fleet_dir);
   const CampaignRun serial_ckpt = run_campaign_once(1, fleet_dir, 8);
   std::filesystem::remove_all(fleet_dir);
-  const CampaignRun fleet = run_campaign_once(1, fleet_dir, 8, true, true,
+  const CampaignRun fleet = run_campaign_once(1, fleet_dir, 8, /*oracle=*/false,
                                               nullptr, /*unit_batch=*/1,
                                               /*fleet_workers=*/4);
   std::filesystem::remove_all(fleet_dir);
@@ -467,14 +456,14 @@ void write_bench_json(const std::string& path) {
   core::SteeringOptions exhaustive_opts;
   exhaustive_opts.map_path = full_map_path;  // map-only: uncapped, unsteered
   const CampaignRun steer_exhaustive = run_campaign_once(
-      1, "", 8, true, true, &steer_scenario, 1, 0, &exhaustive_opts);
+      1, "", 8, /*oracle=*/false, &steer_scenario, 1, 0, &exhaustive_opts);
   core::SteeringOptions budget_opts;
   budget_opts.steer = true;
   budget_opts.map_path = budget_map_path;
   budget_opts.budget =
       steer_scenario.dataset_size * steer_scenario.num_runs / 2;
   const CampaignRun steer_budgeted = run_campaign_once(
-      1, "", 8, true, true, &steer_scenario, 1, 0, &budget_opts);
+      1, "", 8, /*oracle=*/false, &steer_scenario, 1, 0, &budget_opts);
   const io::VulnerabilityMapFile full_map =
       io::read_vulnerability_map(full_map_path);
   const io::VulnerabilityMapFile budget_map =
@@ -540,7 +529,7 @@ void write_bench_json(const std::string& path) {
 
   const core::Scenario scenario = campaign_scenario();
   io::Json root = io::Json::object();
-  root["schema"] = io::Json(std::string("alfi.bench.campaign.v6"));
+  root["schema"] = io::Json(std::string("alfi.bench.campaign.v7"));
   root["host_cores"] =
       io::Json(static_cast<double>(core::CampaignRunner::default_job_count()));
   io::Json workload = io::Json::object();
@@ -550,33 +539,28 @@ void write_bench_json(const std::string& path) {
   workload["faults_per_unit"] =
       io::Json(static_cast<double>(scenario.max_faults_per_image));
   root["workload"] = workload;
-  root["workspace_serial"] = run_to_json(ws_serial);
-  root["allocating_serial"] = run_to_json(alloc_serial);
-  root["workspace_jobs4"] = run_to_json(ws_jobs4);
-  const double speedup =
-      ws_serial.unit_mean_ms > 0.0
-          ? alloc_serial.unit_mean_ms / ws_serial.unit_mean_ms
+  root["default_serial"] = run_to_json(default_serial);
+  root["oracle_serial"] = run_to_json(oracle_serial);
+  root["default_jobs4"] = run_to_json(default_jobs4);
+  const double oracle_speedup =
+      default_serial.unit_mean_ms > 0.0
+          ? oracle_serial.unit_mean_ms / default_serial.unit_mean_ms
           : 0.0;
-  root["workspace_speedup"] = io::Json(speedup);
+  root["oracle_speedup"] = io::Json(oracle_speedup);
 
-  io::Json diff_workload = io::Json::object();
-  diff_workload["model"] = io::Json(std::string("mini-alexnet"));
-  diff_workload["policy"] = io::Json(std::string("per_image"));
-  diff_workload["target"] = io::Json(std::string("neurons"));
-  diff_workload["layer_range"] = io::Json(std::string("2-4"));
-  diff_workload["units"] =
+  io::Json batched_workload = io::Json::object();
+  batched_workload["model"] = io::Json(std::string("mini-alexnet"));
+  batched_workload["policy"] = io::Json(std::string("per_image"));
+  batched_workload["target"] = io::Json(std::string("neurons"));
+  batched_workload["layer_range"] = io::Json(std::string("2-4"));
+  batched_workload["units"] =
       io::Json(static_cast<double>(mid.dataset_size * mid.num_runs));
-  root["diff_workload"] = diff_workload;
-  root["diff_on_serial"] = run_to_json(diff_on);
-  root["diff_off_serial"] = run_to_json(diff_off);
-  const double diff_speedup = diff_on.unit_mean_ms > 0.0
-                                  ? diff_off.unit_mean_ms / diff_on.unit_mean_ms
-                                  : 0.0;
-  root["diff_speedup"] = io::Json(diff_speedup);
+  root["batched_workload"] = batched_workload;
+  root["unit_at_a_time_serial"] = run_to_json(unit_serial);
   root["batched_serial"] = run_to_json(batched);
   root["batched_unit_batch"] = io::Json(16.0);
   const double batched_speedup =
-      batched.unit_mean_ms > 0.0 ? diff_on.unit_mean_ms / batched.unit_mean_ms
+      batched.unit_mean_ms > 0.0 ? unit_serial.unit_mean_ms / batched.unit_mean_ms
                                  : 0.0;
   root["batched_speedup"] = io::Json(batched_speedup);
   root["checkpointed_serial"] = run_to_json(serial_ckpt);
@@ -611,24 +595,14 @@ void write_bench_json(const std::string& path) {
   io::write_json_file(path, root);
 
   std::printf(
-      "workspace  serial: %7.2f units/s (mean %.3f ms, p50 %.3f ms, arena %.0f B)\n",
-      ws_serial.unit_throughput_per_sec(), ws_serial.unit_mean_ms,
-      ws_serial.unit_p50_ms, ws_serial.arena_high_water_bytes);
-  std::printf("allocating serial: %7.2f units/s (mean %.3f ms, p50 %.3f ms)\n",
-              alloc_serial.unit_throughput_per_sec(), alloc_serial.unit_mean_ms,
-              alloc_serial.unit_p50_ms);
-  std::printf("workspace speedup: %.2fx (single-thread unit throughput)\n",
-              speedup);
-  std::printf(
-      "diff on  (layers 2-4): %7.2f units/s (mean %.3f ms, p50 %.3f ms)\n",
-      diff_on.unit_throughput_per_sec(), diff_on.unit_mean_ms,
-      diff_on.unit_p50_ms);
-  std::printf(
-      "diff off (layers 2-4): %7.2f units/s (mean %.3f ms, p50 %.3f ms)\n",
-      diff_off.unit_throughput_per_sec(), diff_off.unit_mean_ms,
-      diff_off.unit_p50_ms);
-  std::printf("diff speedup: %.2fx (single-thread unit throughput)\n",
-              diff_speedup);
+      "default serial: %7.2f units/s (mean %.3f ms, p50 %.3f ms, arena %.0f B)\n",
+      default_serial.unit_throughput_per_sec(), default_serial.unit_mean_ms,
+      default_serial.unit_p50_ms, default_serial.arena_high_water_bytes);
+  std::printf("oracle  serial: %7.2f units/s (mean %.3f ms, p50 %.3f ms)\n",
+              oracle_serial.unit_throughput_per_sec(), oracle_serial.unit_mean_ms,
+              oracle_serial.unit_p50_ms);
+  std::printf("oracle speedup: %.2fx (single-thread unit throughput)\n",
+              oracle_speedup);
   std::printf(
       "batched (unit-batch 16): %7.2f units/s (amortized mean %.3f ms)\n",
       batched.unit_throughput_per_sec(), batched.unit_mean_ms);
@@ -648,7 +622,7 @@ void write_bench_json(const std::string& path) {
       steer_budgeted.seconds > 0.0
           ? steer_exhaustive.seconds / steer_budgeted.seconds
           : 0.0);
-  std::printf("batched speedup: %.2fx (vs unit-at-a-time diff run) -> %s\n",
+  std::printf("batched speedup: %.2fx (vs the unit-at-a-time run) -> %s\n",
               batched_speedup, path.c_str());
 }
 

@@ -439,17 +439,11 @@ void BatchedCampaignExecutor::execute() {
     std::fflush(stderr);
   };
 
-  // Unit packing: clamp the requested pack size to what the workload
-  // supports.  pack == 1 hands the runner one unit per call — the
+  // Unit packing: pack == 1 hands the runner one unit per call — the
   // classic executor, bit for bit.
-  const std::size_t pack =
-      std::max<std::size_t>(1, std::min(config.unit_batch == 0
-                                            ? std::size_t{1}
-                                            : config.unit_batch,
-                                        task_.max_unit_pack()));
-  if (config.unit_batch > 1 && pack < config.unit_batch) {
-    ALFI_LOG(kInfo) << "unit batch clamped to " << pack
-                    << " (workload max_unit_pack)";
+  const std::size_t pack = effective_unit_pack(config, task_);
+  if (pack < config.unit_batch) {
+    ALFI_LOG(kInfo) << "unit batch clamped to " << pack;
   }
   const std::size_t stride = std::max<std::size_t>(1, task_.unit_pack_stride());
 

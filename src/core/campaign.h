@@ -242,8 +242,8 @@ class CampaignProgress {
 /// finalize.  One executor instance runs one campaign.
 ///
 /// Unit packing (DESIGN.md §12): within each shard the executor hands
-/// the runner up to min(config.unit_batch, task.max_unit_pack())
-/// incomplete units per run_unit_pack call, spaced at the task's
+/// the runner up to effective_unit_pack(config, task) incomplete units
+/// per run_unit_pack call, spaced at the task's
 /// unit_pack_stride() — the classification harness strides by
 /// dataset_size so a pack re-runs the SAME image under different fault
 /// groups and shares one fault-free pass across the pack.  Payloads

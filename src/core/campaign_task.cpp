@@ -98,6 +98,13 @@ std::size_t slot_pack_limit(const FaultMatrix& faults) {
   return std::numeric_limits<std::size_t>::max();
 }
 
+std::size_t effective_unit_pack(const CampaignConfigBase& config,
+                                const CampaignTask& task) {
+  if (config.oracle) return 1;
+  return std::clamp<std::size_t>(config.unit_batch, 1,
+                                 std::max<std::size_t>(1, task.max_unit_pack()));
+}
+
 SteeringCellKey steering_cell_of(const Fault& fault, const ModelProfile& profile) {
   SteeringCellKey key;
   key.layer = fault.layer;

@@ -93,29 +93,23 @@ struct CampaignConfigBase {
   /// count.  Classification's batched policies run serially on one
   /// replica whatever the value.
   std::size_t jobs = 1;
-  /// Route inference through arena-backed nn::InferenceWorkspace buffers
-  /// (planned once, zero steady-state heap allocations; DESIGN.md §10).
-  /// Off = the legacy allocating forward() path.  Both paths produce
-  /// byte-identical campaign outputs; the toggle exists for A/B
-  /// comparison and for training-mode models, which the workspace
-  /// refuses.
-  bool workspace = true;
-  /// Differential inference (DESIGN.md §11): the corrupted and mitigated
-  /// passes replay the fault-free pass's cached layer outputs up to the
-  /// earliest armed layer and recompute only the suffix.  Requires the
-  /// workspace path (silently full-recomputes when workspace is off).
-  /// Outputs are byte-identical either way; `--no-diff` exists for A/B
-  /// verification and paranoia.
-  bool diff = true;
+  /// The reference execution path (DESIGN.md §10): the allocating
+  /// forward() path, every armed pass recomputed in full, one unit per
+  /// forward pass.  The kernel backend stays the scenario's, since
+  /// backends may differ in the last bits.  Off — the default — runs the
+  /// arena workspace with differential prefix replay and honours
+  /// unit_batch.  Both produce byte-identical campaign outputs; the
+  /// identity tests compare the default path against this one.
+  bool oracle = false;
   /// Unit packing (DESIGN.md §12): hand each runner up to this many
   /// units per call so it can fuse them into one batched forward pass,
   /// arming each unit's faults on its own batch slot.  Units are packed
   /// at the task's unit_pack_stride() — e.g. the classification harness
   /// packs the SAME image across epochs so one shared fault-free pass
   /// serves the whole pack.  Clamped to the task's max_unit_pack() (1
-  /// for workloads that cannot pack, e.g. weight-fault scenarios).
-  /// 1 — the default — is the classic unit-at-a-time path; every value
-  /// produces byte-identical campaign outputs.
+  /// for workloads that cannot pack, e.g. weight-fault scenarios, and
+  /// under the oracle).  1 — the default — is the classic unit-at-a-time
+  /// path; every value produces byte-identical campaign outputs.
   std::size_t unit_batch = 1;
 
   // ---- crash safety --------------------------------------------------------
@@ -268,6 +262,13 @@ class ModelProfile;
 /// weights are shared across a packed pass, so those campaigns stay
 /// unit-at-a-time.
 std::size_t slot_pack_limit(const FaultMatrix& faults);
+
+/// Units per run_unit_pack call for `task` under `config`: unit_batch
+/// clamped to [1, task.max_unit_pack()], or 1 under the oracle.  The
+/// executor and every fleet worker pack through this one clamp, so a
+/// unit is computed the same way wherever it runs.
+std::size_t effective_unit_pack(const CampaignConfigBase& config,
+                                const CampaignTask& task);
 
 /// Steering stratum of a unit attributed to `fault` (a unit's group's
 /// FIRST fault — exact for max_faults_per_image == 1, the

@@ -188,11 +188,7 @@ FleetWorkerStats FleetWorker::run() {
 
   // Same pack/stride clamping as the executor, so a worker computes a
   // unit exactly the way a local run would.
-  const std::size_t pack =
-      std::max<std::size_t>(1, std::min(config.unit_batch == 0
-                                            ? std::size_t{1}
-                                            : config.unit_batch,
-                                        task_.max_unit_pack()));
+  const std::size_t pack = effective_unit_pack(config, task_);
   const std::size_t stride = std::max<std::size_t>(1, task_.unit_pack_stride());
 
   std::unique_ptr<CampaignUnitRunner> runner;  // lazy: a refused or

@@ -19,8 +19,7 @@ InjectionStack::InjectionStack(std::shared_ptr<nn::Module> replica,
                  : std::nullopt),
       injector_(*replica_, profile_, spec.scenario.duration),
       monitor_(*replica_),
-      workspace_(spec.config.workspace),
-      diff_(spec.config.workspace && spec.config.diff),
+      workspace_(!spec.config.oracle),
       layout_(layout) {
   injector_.set_numeric_type(spec.scenario.numeric_type);
   injector_.set_stored_weights(store_ ? &*store_ : nullptr);
@@ -32,7 +31,6 @@ InjectionStack::InjectionStack(std::shared_ptr<nn::Module> replica,
   }
   if (!workspace_) return;
   arena_gauge_ = &spec.metrics.gauge("campaign.arena_high_water_bytes");
-  if (!diff_) return;
   // The armed passes replay the fault-free pass's prefix; observers
   // follow the hook order on each leaf (the injector has nothing to
   // replay on unarmed layers, the monitor observes, the protection
@@ -70,11 +68,10 @@ nn::InferenceWorkspace* InjectionStack::ws_resil() {
 }
 
 std::size_t InjectionStack::diff_boundary() const {
-  return diff_ ? diff_prefix_boundary(injector_, ws_orig_) : 0;
+  return workspace_ ? diff_prefix_boundary(injector_, ws_orig_) : 0;
 }
 
 void InjectionStack::note_diff(const nn::InferenceWorkspace& ws) {
-  if (!diff_) return;
   const std::size_t reused = ws.prefix_reused_last_run();
   diff_skipped_->add(reused);
   (reused > 0 ? diff_hits_ : diff_misses_)->add();

@@ -36,7 +36,7 @@ namespace alfi::core {
 /// The referenced objects must outlive the stacks.
 struct InjectionStackSpec {
   const Scenario& scenario;            ///< duration and numeric type
-  const CampaignConfigBase& config;    ///< mitigation, workspace, diff
+  const CampaignConfigBase& config;    ///< mitigation, oracle
   const nn::StoredWeightStore* store;  ///< primary's stored weights, or null
   const RangeMap& bounds;              ///< mitigation calibration
   util::MetricsRegistry& metrics;
@@ -71,18 +71,20 @@ class InjectionStack {
   /// Null when the campaign runs without mitigation.
   Protection* protection() { return protection_ ? &*protection_ : nullptr; }
 
-  /// The workspace each pass runs in; null when the workspace path is
-  /// off.  Under WorkspaceLayout::kShared all three are the same one.
+  /// The workspace each pass runs in; null under the oracle, which runs
+  /// the allocating forward() path.  Under WorkspaceLayout::kShared all
+  /// three are the same one.
   nn::InferenceWorkspace* ws_orig() { return workspace_ ? &ws_orig_ : nullptr; }
   nn::InferenceWorkspace* ws_corr();
   nn::InferenceWorkspace* ws_resil();
 
   /// Prefix boundary for the armed passes: the earliest armed leaf in
-  /// the fault-free pass's execution order, or 0 (full recompute) when
-  /// differential inference is off.
+  /// the fault-free pass's execution order, or 0 (full recompute) under
+  /// the oracle.
   std::size_t diff_boundary() const;
 
-  /// Counts one differential pass's replay into campaign.diff.*.
+  /// Counts one differential pass's replay into campaign.diff.*.  Only
+  /// the workspace path calls it: the oracle has no workspace to pass.
   void note_diff(const nn::InferenceWorkspace& ws);
 
   /// Publishes the planned arena footprint to
@@ -106,8 +108,7 @@ class InjectionStack {
   Injector injector_;
   ModelMonitor monitor_;
   std::optional<Protection> protection_;
-  bool workspace_;
-  bool diff_;
+  bool workspace_;  // arena workspaces + prefix replay; false = oracle
   WorkspaceLayout layout_;
   nn::InferenceWorkspace ws_orig_, ws_corr_, ws_resil_;
   util::Gauge* arena_gauge_ = nullptr;

@@ -180,7 +180,7 @@ void run_triple(InjectionStack& stack, Triple& out, const Tensor& orig_images,
   monitor.set_slot_count(slot_count);
   monitor.reset();
   // The armed set is fixed for both remaining passes, so one boundary
-  // serves corr and resil alike; 0 (diff off or nothing replayable)
+  // serves corr and resil alike; 0 (the oracle or nothing replayable)
   // makes forward_from a plain full recompute.
   const std::size_t boundary = stack.diff_boundary();
   if (use_ws) {
@@ -672,15 +672,6 @@ void TestErrorModelsImgClass::run_batched() {
   EvalSink out;
 
   for (std::size_t epoch = 0; epoch < scenario.num_runs; ++epoch) {
-    if (!per_batch) {
-      // The epoch's group is armed once on entry and released again
-      // before its first window: its weight faults log one record each
-      // and count as armed, applied and restored.
-      injector.set_inference_index(epoch);
-      injector.arm(wrapper_.fault_matrix().slice(epoch * group, group));
-      injector.disarm();
-    }
-
     std::size_t images_done = 0;
     for (std::size_t b = 0; images_done < scenario.dataset_size; ++b) {
       const data::ClassificationBatch batch = loader.batch(b);
@@ -702,8 +693,8 @@ void TestErrorModelsImgClass::run_batched() {
               f.batch = window_slot(f.batch, use);
             }
           }
-          injector.set_inference_index(window);
         }
+        injector.set_inference_index(window);
         injector.arm(std::move(armed));
       });
       evaluate_window(out, config_.top_k, write_outputs, *trip.orig, *trip.corr,

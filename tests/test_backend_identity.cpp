@@ -13,9 +13,7 @@
 // positions, so only the sweep in test_backend_ops.cpp bounds them.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <optional>
-#include <sstream>
 
 #include "core/campaign.h"
 #include "core/test_img_class.h"
@@ -30,14 +28,6 @@
 
 namespace alfi::core {
 namespace {
-
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 io::Json inference_section(const std::string& metrics_path) {
   return io::read_json_file(metrics_path).at("inference");
@@ -89,8 +79,6 @@ class BackendIdentity : public ::testing::Test {
     config.output_dir = dir;
     config.jobs = jobs;
     config.unit_batch = unit_batch;
-    config.workspace = true;
-    config.diff = true;
     config.metrics_path = dir + "/metrics.json";
     config.checkpoint_dir = dir + "/ckpt";
     config.checkpoint_every = 4;
@@ -99,8 +87,8 @@ class BackendIdentity : public ::testing::Test {
     Run run;
     run.result = harness.run();
     run.journal_bytes =
-        file_bytes(CampaignExecutor::journal_path(config.checkpoint_dir));
-    run.scenario_yaml = file_bytes(run.result.scenario_yml);
+        test::file_bytes(CampaignExecutor::journal_path(config.checkpoint_dir));
+    run.scenario_yaml = test::file_bytes(run.result.scenario_yml);
     run.metrics_path = config.metrics_path;
     return run;
   }
@@ -110,11 +98,12 @@ class BackendIdentity : public ::testing::Test {
   /// batched-identity suite holds the same line).  Every result
   /// artifact must match regardless.
   void expect_identical(const Run& a, const Run& b, bool same_jobs) {
-    EXPECT_EQ(file_bytes(a.result.results_csv), file_bytes(b.result.results_csv));
-    EXPECT_EQ(file_bytes(a.result.fault_free_csv),
-              file_bytes(b.result.fault_free_csv));
-    EXPECT_EQ(file_bytes(a.result.fault_bin), file_bytes(b.result.fault_bin));
-    EXPECT_EQ(file_bytes(a.result.trace_bin), file_bytes(b.result.trace_bin));
+    EXPECT_EQ(test::file_bytes(a.result.results_csv),
+              test::file_bytes(b.result.results_csv));
+    EXPECT_EQ(test::file_bytes(a.result.fault_free_csv),
+              test::file_bytes(b.result.fault_free_csv));
+    EXPECT_EQ(test::file_bytes(a.result.fault_bin), test::file_bytes(b.result.fault_bin));
+    EXPECT_EQ(test::file_bytes(a.result.trace_bin), test::file_bytes(b.result.trace_bin));
     if (same_jobs) EXPECT_EQ(a.journal_bytes, b.journal_bytes);
     EXPECT_EQ(a.scenario_yaml, b.scenario_yaml);
     EXPECT_EQ(a.result.kpis.total, b.result.kpis.total);
@@ -240,7 +229,6 @@ class ObjDetBackendIdentity : public ::testing::Test {
     config.output_dir = dir;
     config.jobs = jobs;
     config.unit_batch = unit_batch;
-    config.workspace = true;
     config.metrics_path = dir + "/metrics.json";
     TestErrorModelsObjDet harness(*detector_, *dataset_, s, config);
     DetRun run;
@@ -250,12 +238,12 @@ class ObjDetBackendIdentity : public ::testing::Test {
   }
 
   static void expect_identical(const DetRun& a, const DetRun& b) {
-    EXPECT_EQ(file_bytes(a.result.orig_json), file_bytes(b.result.orig_json));
-    EXPECT_EQ(file_bytes(a.result.corr_json), file_bytes(b.result.corr_json));
-    EXPECT_EQ(file_bytes(a.result.fault_bin), file_bytes(b.result.fault_bin));
-    EXPECT_EQ(file_bytes(a.result.trace_bin), file_bytes(b.result.trace_bin));
-    EXPECT_EQ(file_bytes(a.result.scenario_yml),
-              file_bytes(b.result.scenario_yml));
+    EXPECT_EQ(test::file_bytes(a.result.orig_json), test::file_bytes(b.result.orig_json));
+    EXPECT_EQ(test::file_bytes(a.result.corr_json), test::file_bytes(b.result.corr_json));
+    EXPECT_EQ(test::file_bytes(a.result.fault_bin), test::file_bytes(b.result.fault_bin));
+    EXPECT_EQ(test::file_bytes(a.result.trace_bin), test::file_bytes(b.result.trace_bin));
+    EXPECT_EQ(test::file_bytes(a.result.scenario_yml),
+              test::file_bytes(b.result.scenario_yml));
     EXPECT_EQ(a.result.ivmod.total, b.result.ivmod.total);
     EXPECT_EQ(a.result.ivmod.sde_images, b.result.ivmod.sde_images);
     EXPECT_EQ(a.result.ivmod.due_images, b.result.ivmod.due_images);
@@ -273,7 +261,7 @@ models::YoloLite* ObjDetBackendIdentity::detector_ = nullptr;
 TEST_F(ObjDetBackendIdentity, ExplicitRefMatchesDefaultAcrossJobsAndPacking) {
   test::TempDir base_dir("bkid_det_base");
   const DetRun base = run_campaign("", 1, 1, base_dir.str());
-  EXPECT_EQ(file_bytes(base.result.scenario_yml).find("inference"),
+  EXPECT_EQ(test::file_bytes(base.result.scenario_yml).find("inference"),
             std::string::npos);
 
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {

@@ -5,17 +5,15 @@
 // except the `campaign.diff.*` bookkeeping family, which counts
 // pass-level events and so legitimately shrinks as passes fuse.
 // Covered axes: unit-batch 1/4/7, --jobs 1/4, both harnesses, with and
-// without Ranger mitigation, with and without differential inference,
-// same-image packs (the classification harness strides packs by
-// dataset_size, sharing one fault-free pass per pack) and gather packs
+// without Ranger mitigation, same-image packs (the classification
+// harness strides packs by dataset_size, sharing one fault-free pass
+// per pack) and gather packs
 // (single-epoch classification and object detection pack consecutive
 // different-image units), plus short/uneven packs at shard boundaries.
 // Weight-fault campaigns must silently clamp the pack to 1.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <optional>
-#include <sstream>
 
 #include "core/campaign.h"
 #include "core/test_img_class.h"
@@ -29,14 +27,6 @@
 
 namespace alfi::core {
 namespace {
-
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 /// Counter section of metrics.json minus the diff bookkeeping family:
 /// those counters record per-pass events (prefix replays, layers
@@ -100,17 +90,14 @@ class BatchedIdentity : public ::testing::Test {
 
   ImgRun run_campaign(std::size_t unit_batch, std::size_t jobs,
                       const std::string& dir, FaultTarget target,
-                      std::optional<MitigationKind> mitigation, bool diff,
-                      bool journal, std::size_t dataset_size = 4,
-                      std::size_t num_runs = 6) {
+                      std::optional<MitigationKind> mitigation, bool journal,
+                      std::size_t dataset_size = 4, std::size_t num_runs = 6) {
     ImgClassCampaignConfig config;
     config.model_name = "alexnet";
     config.output_dir = dir;
     config.mitigation = mitigation;
     config.jobs = jobs;
     config.unit_batch = unit_batch;
-    config.workspace = true;
-    config.diff = diff;
     config.metrics_path = dir + "/metrics.json";
     if (journal) {
       config.checkpoint_dir = dir + "/ckpt";
@@ -123,20 +110,20 @@ class BatchedIdentity : public ::testing::Test {
     run.counters_json = comparable_counters(config.metrics_path);
     if (journal) {
       run.journal_bytes =
-          file_bytes(CampaignExecutor::journal_path(config.checkpoint_dir));
+          test::file_bytes(CampaignExecutor::journal_path(config.checkpoint_dir));
     }
     return run;
   }
 
   void expect_identical(const ImgRun& packed, const ImgRun& serial) {
-    EXPECT_EQ(file_bytes(packed.result.results_csv),
-              file_bytes(serial.result.results_csv));
-    EXPECT_EQ(file_bytes(packed.result.fault_free_csv),
-              file_bytes(serial.result.fault_free_csv));
-    EXPECT_EQ(file_bytes(packed.result.fault_bin),
-              file_bytes(serial.result.fault_bin));
-    EXPECT_EQ(file_bytes(packed.result.trace_bin),
-              file_bytes(serial.result.trace_bin));
+    EXPECT_EQ(test::file_bytes(packed.result.results_csv),
+              test::file_bytes(serial.result.results_csv));
+    EXPECT_EQ(test::file_bytes(packed.result.fault_free_csv),
+              test::file_bytes(serial.result.fault_free_csv));
+    EXPECT_EQ(test::file_bytes(packed.result.fault_bin),
+              test::file_bytes(serial.result.fault_bin));
+    EXPECT_EQ(test::file_bytes(packed.result.trace_bin),
+              test::file_bytes(serial.result.trace_bin));
     EXPECT_EQ(packed.counters_json, serial.counters_json);
     EXPECT_EQ(packed.journal_bytes, serial.journal_bytes);
     EXPECT_EQ(packed.result.kpis.total, serial.result.kpis.total);
@@ -162,10 +149,10 @@ TEST_F(BatchedIdentity, SerialPackedCampaignMatchesUnitAtATime) {
   test::TempDir serial_dir("batched_off1");
   const auto packed =
       run_campaign(4, 1, packed_dir.str(), FaultTarget::kNeurons, std::nullopt,
-                   /*diff=*/true, /*journal=*/true);
+                   /*journal=*/true);
   const auto serial =
       run_campaign(1, 1, serial_dir.str(), FaultTarget::kNeurons, std::nullopt,
-                   /*diff=*/true, /*journal=*/true);
+                   /*journal=*/true);
   EXPECT_EQ(packed.result.kpis.total, 24u);  // 4 images * 6 runs
   expect_identical(packed, serial);
 }
@@ -180,10 +167,10 @@ TEST_F(BatchedIdentity, ShortFinalPackMatchesUnitAtATime) {
   test::TempDir serial_dir("batched_off7");
   const auto packed =
       run_campaign(7, 1, packed_dir.str(), FaultTarget::kNeurons, std::nullopt,
-                   /*diff=*/true, /*journal=*/true);
+                   /*journal=*/true);
   const auto serial =
       run_campaign(1, 1, serial_dir.str(), FaultTarget::kNeurons, std::nullopt,
-                   /*diff=*/true, /*journal=*/true);
+                   /*journal=*/true);
   expect_identical(packed, serial);
 }
 
@@ -194,11 +181,11 @@ TEST_F(BatchedIdentity, SingleEpochGatherPackMatchesUnitAtATime) {
   test::TempDir serial_dir("batched_offg");
   const auto packed =
       run_campaign(4, 1, packed_dir.str(), FaultTarget::kNeurons, std::nullopt,
-                   /*diff=*/true, /*journal=*/true, /*dataset_size=*/12,
+                   /*journal=*/true, /*dataset_size=*/12,
                    /*num_runs=*/1);
   const auto serial =
       run_campaign(1, 1, serial_dir.str(), FaultTarget::kNeurons, std::nullopt,
-                   /*diff=*/true, /*journal=*/true, /*dataset_size=*/12,
+                   /*journal=*/true, /*dataset_size=*/12,
                    /*num_runs=*/1);
   expect_identical(packed, serial);
 }
@@ -208,10 +195,10 @@ TEST_F(BatchedIdentity, ParallelPackedCampaignMatchesUnitAtATime) {
   test::TempDir serial_dir("batched_off4j");
   const auto packed =
       run_campaign(4, 4, packed_dir.str(), FaultTarget::kNeurons, std::nullopt,
-                   /*diff=*/true, /*journal=*/false);
+                   /*journal=*/false);
   const auto serial =
       run_campaign(1, 4, serial_dir.str(), FaultTarget::kNeurons, std::nullopt,
-                   /*diff=*/true, /*journal=*/false);
+                   /*journal=*/false);
   expect_identical(packed, serial);
 }
 
@@ -223,10 +210,10 @@ TEST_F(BatchedIdentity, PackedParallelMatchesSerialUnitAtATime) {
   test::TempDir serial_dir("batched_off1x");
   const auto packed =
       run_campaign(7, 4, packed_dir.str(), FaultTarget::kNeurons, std::nullopt,
-                   /*diff=*/true, /*journal=*/false);
+                   /*journal=*/false);
   const auto serial =
       run_campaign(1, 1, serial_dir.str(), FaultTarget::kNeurons, std::nullopt,
-                   /*diff=*/true, /*journal=*/false);
+                   /*journal=*/false);
   expect_identical(packed, serial);
 }
 
@@ -237,23 +224,10 @@ TEST_F(BatchedIdentity, MitigatedPackedCampaignMatchesUnitAtATime) {
   test::TempDir serial_dir("batched_offm");
   const auto packed =
       run_campaign(4, 1, packed_dir.str(), FaultTarget::kNeurons,
-                   MitigationKind::kRanger, /*diff=*/true, /*journal=*/true);
+                   MitigationKind::kRanger, /*journal=*/true);
   const auto serial =
       run_campaign(1, 1, serial_dir.str(), FaultTarget::kNeurons,
-                   MitigationKind::kRanger, /*diff=*/true, /*journal=*/true);
-  expect_identical(packed, serial);
-}
-
-TEST_F(BatchedIdentity, NoDiffPackedCampaignMatchesUnitAtATime) {
-  // Packing composes with full recompute too (--no-diff --unit-batch K).
-  test::TempDir packed_dir("batched_onnd");
-  test::TempDir serial_dir("batched_offnd");
-  const auto packed =
-      run_campaign(4, 1, packed_dir.str(), FaultTarget::kNeurons, std::nullopt,
-                   /*diff=*/false, /*journal=*/false);
-  const auto serial =
-      run_campaign(1, 1, serial_dir.str(), FaultTarget::kNeurons, std::nullopt,
-                   /*diff=*/false, /*journal=*/false);
+                   MitigationKind::kRanger, /*journal=*/true);
   expect_identical(packed, serial);
 }
 
@@ -265,10 +239,10 @@ TEST_F(BatchedIdentity, WeightCampaignClampsPackToUnitAtATime) {
   test::TempDir serial_dir("batched_offw");
   const auto packed =
       run_campaign(4, 1, packed_dir.str(), FaultTarget::kWeights, std::nullopt,
-                   /*diff=*/true, /*journal=*/true);
+                   /*journal=*/true);
   const auto serial =
       run_campaign(1, 1, serial_dir.str(), FaultTarget::kWeights, std::nullopt,
-                   /*diff=*/true, /*journal=*/true);
+                   /*journal=*/true);
   expect_identical(packed, serial);
 }
 
@@ -320,7 +294,6 @@ class ObjDetBatchedIdentity : public ::testing::Test {
     config.output_dir = dir;
     config.jobs = jobs;
     config.unit_batch = unit_batch;
-    config.workspace = true;
     config.mitigation = mitigation;
     config.metrics_path = dir + "/metrics.json";
     TestErrorModelsObjDet harness(*detector_, *dataset_, scenario(policy),
@@ -332,12 +305,12 @@ class ObjDetBatchedIdentity : public ::testing::Test {
   }
 
   static void expect_identical(const DetRun& packed, const DetRun& serial) {
-    EXPECT_EQ(file_bytes(packed.result.orig_json),
-              file_bytes(serial.result.orig_json));
-    EXPECT_EQ(file_bytes(packed.result.corr_json),
-              file_bytes(serial.result.corr_json));
-    EXPECT_EQ(file_bytes(packed.result.trace_bin),
-              file_bytes(serial.result.trace_bin));
+    EXPECT_EQ(test::file_bytes(packed.result.orig_json),
+              test::file_bytes(serial.result.orig_json));
+    EXPECT_EQ(test::file_bytes(packed.result.corr_json),
+              test::file_bytes(serial.result.corr_json));
+    EXPECT_EQ(test::file_bytes(packed.result.trace_bin),
+              test::file_bytes(serial.result.trace_bin));
     EXPECT_EQ(packed.counters_json, serial.counters_json);
     EXPECT_EQ(packed.result.ivmod.total, serial.result.ivmod.total);
     EXPECT_EQ(packed.result.ivmod.sde_images, serial.result.ivmod.sde_images);

@@ -5,8 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <fstream>
-#include <sstream>
 
 #include "core/test_img_class.h"
 #include "data/synthetic.h"
@@ -15,14 +13,6 @@
 
 namespace alfi::core {
 namespace {
-
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 TEST(CampaignShards, PartitionCoversAllUnitsContiguously) {
   for (const std::size_t count : {1u, 7u, 12u, 100u}) {
@@ -148,10 +138,10 @@ class ParallelCampaign : public ::testing::Test {
 
   void expect_identical_outputs(const ImgClassCampaignResult& a,
                                 const ImgClassCampaignResult& b) {
-    EXPECT_EQ(file_bytes(a.results_csv), file_bytes(b.results_csv));
-    EXPECT_EQ(file_bytes(a.fault_free_csv), file_bytes(b.fault_free_csv));
-    EXPECT_EQ(file_bytes(a.fault_bin), file_bytes(b.fault_bin));
-    EXPECT_EQ(file_bytes(a.trace_bin), file_bytes(b.trace_bin));
+    EXPECT_EQ(test::file_bytes(a.results_csv), test::file_bytes(b.results_csv));
+    EXPECT_EQ(test::file_bytes(a.fault_free_csv), test::file_bytes(b.fault_free_csv));
+    EXPECT_EQ(test::file_bytes(a.fault_bin), test::file_bytes(b.fault_bin));
+    EXPECT_EQ(test::file_bytes(a.trace_bin), test::file_bytes(b.trace_bin));
     EXPECT_EQ(a.kpis.total, b.kpis.total);
     EXPECT_EQ(a.kpis.sde, b.kpis.sde);
     EXPECT_EQ(a.kpis.due, b.kpis.due);

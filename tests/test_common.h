@@ -6,9 +6,11 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <unistd.h>
+#include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
+#include <unistd.h>
 
 #include "tensor/tensor.h"
 
@@ -34,6 +36,16 @@ class TempDir {
   static inline int counter_ = 0;
   std::filesystem::path path_;
 };
+
+/// The whole content of the file at `path`; a missing file fails the
+/// calling test and reads as empty.
+inline std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(static_cast<bool>(in)) << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
 
 /// Central-difference numerical gradient of scalar(x) at x, for gradient
 /// checking layer backward passes.

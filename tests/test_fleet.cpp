@@ -10,11 +10,9 @@
 #include <atomic>
 #include <csignal>
 #include <filesystem>
-#include <fstream>
 #include <future>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -33,14 +31,6 @@
 
 namespace alfi::core {
 namespace {
-
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 std::uint64_t counter_value(const util::MetricsRegistry& metrics,
                             const std::string& name) {
@@ -294,11 +284,11 @@ class FleetImgClass : public ::testing::Test {
 
   static void expect_identical(const ImgClassCampaignResult& a,
                                const ImgClassCampaignResult& b) {
-    EXPECT_EQ(file_bytes(a.results_csv), file_bytes(b.results_csv));
-    EXPECT_EQ(file_bytes(a.fault_free_csv), file_bytes(b.fault_free_csv));
-    EXPECT_EQ(file_bytes(a.fault_bin), file_bytes(b.fault_bin));
-    EXPECT_EQ(file_bytes(a.trace_bin), file_bytes(b.trace_bin));
-    EXPECT_EQ(file_bytes(a.scenario_yml), file_bytes(b.scenario_yml));
+    EXPECT_EQ(test::file_bytes(a.results_csv), test::file_bytes(b.results_csv));
+    EXPECT_EQ(test::file_bytes(a.fault_free_csv), test::file_bytes(b.fault_free_csv));
+    EXPECT_EQ(test::file_bytes(a.fault_bin), test::file_bytes(b.fault_bin));
+    EXPECT_EQ(test::file_bytes(a.trace_bin), test::file_bytes(b.trace_bin));
+    EXPECT_EQ(test::file_bytes(a.scenario_yml), test::file_bytes(b.scenario_yml));
     EXPECT_EQ(a.kpis.total, b.kpis.total);
     EXPECT_EQ(a.kpis.sde, b.kpis.sde);
     EXPECT_EQ(a.kpis.due, b.kpis.due);
@@ -308,10 +298,10 @@ class FleetImgClass : public ::testing::Test {
 
   static void expect_identical_checkpoint_dirs(const std::string& a,
                                                const std::string& b) {
-    EXPECT_EQ(file_bytes(CampaignExecutor::journal_path(a)),
-              file_bytes(CampaignExecutor::journal_path(b)));
-    EXPECT_EQ(file_bytes(CampaignExecutor::checkpoint_path(a)),
-              file_bytes(CampaignExecutor::checkpoint_path(b)));
+    EXPECT_EQ(test::file_bytes(CampaignExecutor::journal_path(a)),
+              test::file_bytes(CampaignExecutor::journal_path(b)));
+    EXPECT_EQ(test::file_bytes(CampaignExecutor::checkpoint_path(a)),
+              test::file_bytes(CampaignExecutor::checkpoint_path(b)));
   }
 
   static data::SyntheticShapesClassification* dataset_;
@@ -673,12 +663,12 @@ class FleetObjDet : public ::testing::Test {
 
   static void expect_identical(const ObjDetCampaignResult& a,
                                const ObjDetCampaignResult& b) {
-    EXPECT_EQ(file_bytes(a.ground_truth_json), file_bytes(b.ground_truth_json));
-    EXPECT_EQ(file_bytes(a.scenario_yml), file_bytes(b.scenario_yml));
-    EXPECT_EQ(file_bytes(a.fault_bin), file_bytes(b.fault_bin));
-    EXPECT_EQ(file_bytes(a.trace_bin), file_bytes(b.trace_bin));
-    EXPECT_EQ(file_bytes(a.orig_json), file_bytes(b.orig_json));
-    EXPECT_EQ(file_bytes(a.corr_json), file_bytes(b.corr_json));
+    EXPECT_EQ(test::file_bytes(a.ground_truth_json), test::file_bytes(b.ground_truth_json));
+    EXPECT_EQ(test::file_bytes(a.scenario_yml), test::file_bytes(b.scenario_yml));
+    EXPECT_EQ(test::file_bytes(a.fault_bin), test::file_bytes(b.fault_bin));
+    EXPECT_EQ(test::file_bytes(a.trace_bin), test::file_bytes(b.trace_bin));
+    EXPECT_EQ(test::file_bytes(a.orig_json), test::file_bytes(b.orig_json));
+    EXPECT_EQ(test::file_bytes(a.corr_json), test::file_bytes(b.corr_json));
     EXPECT_EQ(a.ivmod.total, b.ivmod.total);
     EXPECT_EQ(a.ivmod.sde_images, b.ivmod.sde_images);
     EXPECT_EQ(a.ivmod.due_images, b.ivmod.due_images);
@@ -714,10 +704,10 @@ TEST_F(FleetObjDet, LocalFleetMatchesSerialByteForByte) {
   const auto fleet = harness.run();
 
   expect_identical(serial, fleet);
-  EXPECT_EQ(file_bytes(CampaignExecutor::journal_path(ref_ckp.str())),
-            file_bytes(CampaignExecutor::journal_path(ckp_dir.str())));
-  EXPECT_EQ(file_bytes(CampaignExecutor::checkpoint_path(ref_ckp.str())),
-            file_bytes(CampaignExecutor::checkpoint_path(ckp_dir.str())));
+  EXPECT_EQ(test::file_bytes(CampaignExecutor::journal_path(ref_ckp.str())),
+            test::file_bytes(CampaignExecutor::journal_path(ckp_dir.str())));
+  EXPECT_EQ(test::file_bytes(CampaignExecutor::checkpoint_path(ref_ckp.str())),
+            test::file_bytes(CampaignExecutor::checkpoint_path(ckp_dir.str())));
   EXPECT_EQ(counter_value(harness.metrics(), "fleet.workers_joined"), 2u);
   EXPECT_EQ(counter_value(harness.metrics(), "units.computed"), 16u);
 }

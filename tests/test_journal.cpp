@@ -20,14 +20,6 @@
 namespace alfi::io {
 namespace {
 
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 void overwrite_file(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -125,7 +117,7 @@ TEST(Journal, TornTailIsDetectedAndRepaired) {
   }
   // Simulate a crash mid-append: keep the first unit frame intact and
   // cut the second frame a few bytes short.
-  const std::string whole = file_bytes(path);
+  const std::string whole = test::file_bytes(path);
   overwrite_file(path, whole.substr(0, whole.size() - 3));
 
   const auto scan = scan_journal(path);
@@ -153,7 +145,7 @@ TEST(Journal, BadCrcTruncatesFromCorruptFrame) {
   }
   // Flip one payload byte in the *middle* unit frame; the scan must keep
   // the frames before it and drop it plus everything after.
-  auto bytes = file_bytes(path);
+  auto bytes = test::file_bytes(path);
   const auto pos = bytes.find("beta");
   ASSERT_NE(pos, std::string::npos);
   bytes[pos] ^= 0x01;
@@ -190,7 +182,7 @@ TEST(Journal, ResumeAppendsAfterRepair) {
   }
   // Tear the tail, repair, then append more frames in resume mode — the
   // sequence must read back as one clean journal.
-  const std::string whole = file_bytes(path);
+  const std::string whole = test::file_bytes(path);
   overwrite_file(path, whole.substr(0, whole.size() - 1));
   const auto scan = scan_journal(path);
   repair_journal(path, scan);
@@ -276,7 +268,7 @@ TEST(JournalDurability, AtomicCommitSyncsTempThenRenamesThenSyncsDirectory) {
   EXPECT_EQ(ops[0], FileOp::kTempSync);
   EXPECT_EQ(ops[1], FileOp::kRename);
   EXPECT_EQ(ops[2], FileOp::kDirSync);
-  EXPECT_EQ(file_bytes(path), "checkpoint-state");
+  EXPECT_EQ(test::file_bytes(path), "checkpoint-state");
 }
 
 TEST(JournalDurability, InjectedTempSyncFailureLeavesOldFileIntact) {
@@ -289,7 +281,7 @@ TEST(JournalDurability, InjectedTempSyncFailureLeavesOldFileIntact) {
   });
   EXPECT_THROW(write_file_atomic(path, "version-2", /*sync=*/true), IoError);
   // The rename never ran: readers still see the complete old file.
-  EXPECT_EQ(file_bytes(path), "version-1");
+  EXPECT_EQ(test::file_bytes(path), "version-1");
 }
 
 TEST(JournalDurability, InjectedJournalSyncFailurePropagates) {

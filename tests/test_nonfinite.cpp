@@ -3,13 +3,11 @@
 // affected units as DUE — never crash, never mis-rank — (b) keep every
 // probability column in the results CSVs finite (the topk_of_logits
 // softmax guards), and (c) stay byte-stable across executors and
-// inference paths (jobs 1 vs 4, workspace+diff vs allocating forward).
+// execution paths (jobs 1 vs 4, the default path vs the oracle).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "core/fault_generator.h"
 #include "core/fault_matrix.h"
@@ -22,14 +20,6 @@
 
 namespace alfi::core {
 namespace {
-
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 class NonfiniteSweep : public ::testing::Test {
  protected:
@@ -83,13 +73,13 @@ class NonfiniteSweep : public ::testing::Test {
     return s;
   }
 
-  static ImgClassCampaignResult run_campaign(bool workspace, std::size_t jobs,
+  static ImgClassCampaignResult run_campaign(bool oracle, std::size_t jobs,
                                              const std::string& dir) {
     ImgClassCampaignConfig config;
     config.model_name = "alexnet";
     config.output_dir = dir;
     config.jobs = jobs;
-    config.workspace = workspace;  // diff stays at its default (on)
+    config.oracle = oracle;
     config.fault_file = fault_file_;
     TestErrorModelsImgClass harness(*model_, *dataset_, scenario(), config);
     return harness.run();
@@ -122,7 +112,7 @@ std::string NonfiniteSweep::fault_file_;
 
 TEST_F(NonfiniteSweep, InfAndNanFaultsYieldStableDueVerdicts) {
   test::TempDir dir("nonfinite_ws1");
-  const ImgClassCampaignResult result = run_campaign(true, 1, dir.str());
+  const ImgClassCampaignResult result = run_campaign(false, 1, dir.str());
 
   // An injected Inf/NaN activation propagates to the logits on this
   // all-linear/conv/pool net, so every unit must be DUE — and DUE
@@ -139,15 +129,15 @@ TEST_F(NonfiniteSweep, VerdictsAreIdenticalAcrossJobsAndInferencePaths) {
   test::TempDir ws4("nonfinite_b");
   test::TempDir alloc1("nonfinite_c");
   test::TempDir alloc4("nonfinite_d");
-  const auto r_ws1 = run_campaign(true, 1, ws1.str());
-  const auto r_ws4 = run_campaign(true, 4, ws4.str());
-  const auto r_alloc1 = run_campaign(false, 1, alloc1.str());
-  const auto r_alloc4 = run_campaign(false, 4, alloc4.str());
+  const auto r_ws1 = run_campaign(false, 1, ws1.str());
+  const auto r_ws4 = run_campaign(false, 4, ws4.str());
+  const auto r_alloc1 = run_campaign(true, 1, alloc1.str());
+  const auto r_alloc4 = run_campaign(true, 4, alloc4.str());
 
-  const std::string golden = file_bytes(r_ws1.results_csv);
-  EXPECT_EQ(file_bytes(r_ws4.results_csv), golden);
-  EXPECT_EQ(file_bytes(r_alloc1.results_csv), golden);
-  EXPECT_EQ(file_bytes(r_alloc4.results_csv), golden);
+  const std::string golden = test::file_bytes(r_ws1.results_csv);
+  EXPECT_EQ(test::file_bytes(r_ws4.results_csv), golden);
+  EXPECT_EQ(test::file_bytes(r_alloc1.results_csv), golden);
+  EXPECT_EQ(test::file_bytes(r_alloc4.results_csv), golden);
   for (const auto* r : {&r_ws4, &r_alloc1, &r_alloc4}) {
     EXPECT_EQ(r->kpis.due, r_ws1.kpis.due);
     EXPECT_EQ(r->kpis.sde, r_ws1.kpis.sde);

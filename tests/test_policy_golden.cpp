@@ -16,9 +16,8 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
+#include "core/fault_matrix.h"
 #include "core/test_img_class.h"
 #include "data/synthetic.h"
 #include "io/json.h"
@@ -30,11 +29,7 @@ namespace alfi::core {
 namespace {
 
 std::uint64_t file_digest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return fnv1a64(buffer.str());
+  return fnv1a64(test::file_bytes(path));
 }
 
 struct GoldenCase {
@@ -137,22 +132,55 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"per_epoch_neurons", InjectionPolicy::kPerEpoch,
                    FaultTarget::kNeurons, false,
                    0xa0f0e70a7ac671a9ULL, 0x303f319e21be6e75ULL,
-                   0xa0963eed2681dfe1ULL, 0xc8a3bd42ea6862baULL},
+                   0xa0963eed2681dfe1ULL, 0xf3d62d4b1699a881ULL},
         GoldenCase{"per_epoch_neurons_ranger", InjectionPolicy::kPerEpoch,
                    FaultTarget::kNeurons, true,
                    0xce9d1d55686c6233ULL, 0x303f319e21be6e75ULL,
-                   0x6f597e8eb6bee3e9ULL, 0x2ba54ee78bc539b5ULL},
+                   0x6f597e8eb6bee3e9ULL, 0x9ddb21066d61d11cULL},
         GoldenCase{"per_epoch_weights", InjectionPolicy::kPerEpoch,
                    FaultTarget::kWeights, false,
                    0x3f703c8d0859c632ULL, 0x303f319e21be6e75ULL,
-                   0x154f00e193bc0341ULL, 0x59ee7f62428c7dc1ULL},
+                   0x440ca6940ae111b9ULL, 0x97675ab50aae5ed0ULL},
         GoldenCase{"per_epoch_weights_ranger", InjectionPolicy::kPerEpoch,
                    FaultTarget::kWeights, true,
                    0x3e600c334d3865f1ULL, 0x303f319e21be6e75ULL,
-                   0x154f00e193bc0341ULL, 0xa60f088099b859f1ULL}),
+                   0x440ca6940ae111b9ULL, 0x36acb7ac1a5f7e80ULL}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return std::string(info.param.name);
     });
+
+TEST(PerEpochPolicy, WeightFaultsLogOneRecordPerWindow) {
+  // 20 images at batch 8 over 2 epochs is 3 windows per epoch, 6 in
+  // all.  Each window arms its epoch's single weight fault once, so the
+  // trace and injections.weight_applied hold one entry per window and
+  // none for the epoch itself.
+  const data::SyntheticShapesClassification dataset(
+      {.size = 20, .num_classes = 10, .seed = 7});
+  const auto model = models::make_classifier("lenet", {});
+  Rng rng(7);
+  nn::kaiming_init(*model, rng);
+  Scenario s;
+  s.target = FaultTarget::kWeights;
+  s.value_type = ValueType::kBitFlip;
+  s.inj_policy = InjectionPolicy::kPerEpoch;
+  s.dataset_size = 20;
+  s.batch_size = 8;
+  s.num_runs = 2;
+  s.max_faults_per_image = 1;
+  s.rnd_seed = 31;
+
+  const test::TempDir dir("per_epoch_records");
+  ImgClassCampaignConfig config;
+  config.model_name = "lenet";
+  config.output_dir = dir.str();
+  config.metrics_path = dir.file("metrics.json");
+  TestErrorModelsImgClass harness(*model, dataset, s, config);
+  const ImgClassCampaignResult result = harness.run();
+  EXPECT_EQ(load_injection_records(result.trace_bin).size(), 6u);
+  const io::Json counters =
+      io::read_json_file(config.metrics_path).at("counters");
+  EXPECT_EQ(counters.at("injections.weight_applied").as_int(), 6);
+}
 
 }  // namespace
 }  // namespace alfi::core

@@ -10,7 +10,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 
 #include "core/test_img_class.h"
 #include "core/test_obj_det.h"
@@ -22,14 +21,6 @@
 
 namespace alfi::core {
 namespace {
-
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 /// Interrupt callback that flips to true after `n` polls — deterministic
 /// stand-in for a SIGTERM arriving mid-campaign.
@@ -131,11 +122,11 @@ class ResumeImgClass : public ::testing::Test {
 
   static void expect_identical(const ImgClassCampaignResult& a,
                                const ImgClassCampaignResult& b) {
-    EXPECT_EQ(file_bytes(a.results_csv), file_bytes(b.results_csv));
-    EXPECT_EQ(file_bytes(a.fault_free_csv), file_bytes(b.fault_free_csv));
-    EXPECT_EQ(file_bytes(a.fault_bin), file_bytes(b.fault_bin));
-    EXPECT_EQ(file_bytes(a.trace_bin), file_bytes(b.trace_bin));
-    EXPECT_EQ(file_bytes(a.scenario_yml), file_bytes(b.scenario_yml));
+    EXPECT_EQ(test::file_bytes(a.results_csv), test::file_bytes(b.results_csv));
+    EXPECT_EQ(test::file_bytes(a.fault_free_csv), test::file_bytes(b.fault_free_csv));
+    EXPECT_EQ(test::file_bytes(a.fault_bin), test::file_bytes(b.fault_bin));
+    EXPECT_EQ(test::file_bytes(a.trace_bin), test::file_bytes(b.trace_bin));
+    EXPECT_EQ(test::file_bytes(a.scenario_yml), test::file_bytes(b.scenario_yml));
     EXPECT_EQ(a.kpis.total, b.kpis.total);
     EXPECT_EQ(a.kpis.sde, b.kpis.sde);
     EXPECT_EQ(a.kpis.due, b.kpis.due);
@@ -364,12 +355,12 @@ class ResumeObjDet : public ::testing::Test {
 
   static void expect_identical(const ObjDetCampaignResult& a,
                                const ObjDetCampaignResult& b) {
-    EXPECT_EQ(file_bytes(a.ground_truth_json), file_bytes(b.ground_truth_json));
-    EXPECT_EQ(file_bytes(a.scenario_yml), file_bytes(b.scenario_yml));
-    EXPECT_EQ(file_bytes(a.fault_bin), file_bytes(b.fault_bin));
-    EXPECT_EQ(file_bytes(a.trace_bin), file_bytes(b.trace_bin));
-    EXPECT_EQ(file_bytes(a.orig_json), file_bytes(b.orig_json));
-    EXPECT_EQ(file_bytes(a.corr_json), file_bytes(b.corr_json));
+    EXPECT_EQ(test::file_bytes(a.ground_truth_json), test::file_bytes(b.ground_truth_json));
+    EXPECT_EQ(test::file_bytes(a.scenario_yml), test::file_bytes(b.scenario_yml));
+    EXPECT_EQ(test::file_bytes(a.fault_bin), test::file_bytes(b.fault_bin));
+    EXPECT_EQ(test::file_bytes(a.trace_bin), test::file_bytes(b.trace_bin));
+    EXPECT_EQ(test::file_bytes(a.orig_json), test::file_bytes(b.orig_json));
+    EXPECT_EQ(test::file_bytes(a.corr_json), test::file_bytes(b.corr_json));
     EXPECT_EQ(a.ivmod.total, b.ivmod.total);
     EXPECT_EQ(a.ivmod.sde_images, b.ivmod.sde_images);
     EXPECT_EQ(a.ivmod.due_images, b.ivmod.due_images);

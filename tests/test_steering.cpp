@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -33,14 +32,6 @@
 
 namespace alfi::core {
 namespace {
-
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 // ---- Wilson interval properties ---------------------------------------------
 
@@ -315,7 +306,7 @@ TEST_F(SteeredImgClass, BudgetedCampaignFinalizesOverExecutedUnitsOnly) {
 
   // The results CSV carries exactly the executed units' rows.
   std::size_t rows = 0;
-  std::istringstream csv(file_bytes(result.results_csv));
+  std::istringstream csv(test::file_bytes(result.results_csv));
   for (std::string line; std::getline(csv, line);) ++rows;
   EXPECT_EQ(rows, 1u + 10u);  // header + one row per executed unit
 }
@@ -368,9 +359,9 @@ TEST_F(SteeredImgClass, BudgetedCampaignCheckpointsAndResumes) {
   EXPECT_EQ(resumed.kpis.total, reference.kpis.total);
   EXPECT_EQ(resumed.kpis.sde, reference.kpis.sde);
   EXPECT_EQ(resumed.kpis.due, reference.kpis.due);
-  EXPECT_EQ(file_bytes(resumed.results_csv), file_bytes(reference.results_csv));
-  EXPECT_EQ(file_bytes(second.steering.map_path),
-            file_bytes(std::string(ref_dir.str() + "/map.json")));
+  EXPECT_EQ(test::file_bytes(resumed.results_csv), test::file_bytes(reference.results_csv));
+  EXPECT_EQ(test::file_bytes(second.steering.map_path),
+            test::file_bytes(std::string(ref_dir.str() + "/map.json")));
 }
 
 TEST_F(SteeredImgClass, SteeringRejectsBatchedPolicies) {
@@ -417,14 +408,14 @@ TEST_F(SteeredImgClass, MapIsByteIdenticalAcrossJobsAndFleet) {
   cf.fleet.heartbeat_ms = 50.0;
   const auto fleet = run_with(cf, fleet_dir.str(), fleet_dir.file("map.json"));
 
-  const std::string map1 = file_bytes(jobs1_dir.file("map.json"));
-  EXPECT_EQ(map1, file_bytes(jobs4_dir.file("map.json")));
-  EXPECT_EQ(map1, file_bytes(fleet_dir.file("map.json")));
+  const std::string map1 = test::file_bytes(jobs1_dir.file("map.json"));
+  EXPECT_EQ(map1, test::file_bytes(jobs4_dir.file("map.json")));
+  EXPECT_EQ(map1, test::file_bytes(fleet_dir.file("map.json")));
 
-  EXPECT_EQ(file_bytes(serial.results_csv), file_bytes(parallel.results_csv));
-  EXPECT_EQ(file_bytes(serial.results_csv), file_bytes(fleet.results_csv));
-  EXPECT_EQ(file_bytes(serial.trace_bin), file_bytes(parallel.trace_bin));
-  EXPECT_EQ(file_bytes(serial.trace_bin), file_bytes(fleet.trace_bin));
+  EXPECT_EQ(test::file_bytes(serial.results_csv), test::file_bytes(parallel.results_csv));
+  EXPECT_EQ(test::file_bytes(serial.results_csv), test::file_bytes(fleet.results_csv));
+  EXPECT_EQ(test::file_bytes(serial.trace_bin), test::file_bytes(parallel.trace_bin));
+  EXPECT_EQ(test::file_bytes(serial.trace_bin), test::file_bytes(fleet.trace_bin));
   EXPECT_EQ(serial.kpis.total, 12u);
   EXPECT_EQ(parallel.kpis.total, 12u);
   EXPECT_EQ(fleet.kpis.total, 12u);
@@ -434,7 +425,7 @@ TEST_F(SteeredImgClass, MapIsByteIdenticalAcrossJobsAndFleet) {
   auto ca = config(again_dir.str());
   ca.jobs = 1;
   run_with(ca, again_dir.str(), again_dir.file("map.json"));
-  EXPECT_EQ(map1, file_bytes(again_dir.file("map.json")));
+  EXPECT_EQ(map1, test::file_bytes(again_dir.file("map.json")));
 }
 
 // ---- exhaustive top-5 layer ranking reproduction ----------------------------
@@ -594,7 +585,7 @@ TEST(VulnerabilityMapIo, RoundTripsThroughJson) {
 
   // Determinism contract: writing the same map twice is byte-identical.
   io::write_vulnerability_map(dir.file("map2.json"), map);
-  EXPECT_EQ(file_bytes(dir.file("map.json")), file_bytes(dir.file("map2.json")));
+  EXPECT_EQ(test::file_bytes(dir.file("map.json")), test::file_bytes(dir.file("map2.json")));
 }
 
 }  // namespace

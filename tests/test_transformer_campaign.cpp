@@ -1,8 +1,8 @@
 // MiniTransformer campaign coverage (ISSUE 9): the attention-injection
 // workload must ride every piece of campaign plumbing the CNN workloads
 // use, byte-identically across execution strategies —
-//   * --jobs 1 vs 4, --unit-batch 1 vs 4, diff prefix on/off, arena
-//     workspace on/off, and a local-fork fleet run, all compared on
+//   * --jobs 1 vs 4, --unit-batch 1 vs 4, the default path vs the
+//     oracle, and a local-fork fleet run, all compared on
 //     results CSVs, fault/trace binaries, journals and counters
 //     (mirroring test_batched_identity.cpp / test_fleet.cpp);
 //   * every advertised attention target is reachable: Q/K/V/out
@@ -13,9 +13,7 @@
 //   * Ranger runs on the GELU/softmax activation profile.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <optional>
-#include <sstream>
 
 #include "core/campaign.h"
 #include "core/test_img_class.h"
@@ -26,14 +24,6 @@
 
 namespace alfi::core {
 namespace {
-
-std::string file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 /// Counter section of metrics.json minus the `campaign.diff.*` family
 /// (pass-level bookkeeping that legitimately shrinks as passes fuse or
@@ -102,16 +92,15 @@ class TransformerCampaign : public ::testing::Test {
 
   CampaignRun run_campaign(const Scenario& s, std::size_t unit_batch, std::size_t jobs,
                    const std::string& dir,
-                   std::optional<MitigationKind> mitigation, bool diff,
-                   bool workspace, bool journal) {
+                   std::optional<MitigationKind> mitigation, bool oracle,
+                   bool journal) {
     ImgClassCampaignConfig config;
     config.model_name = "transformer";
     config.output_dir = dir;
     config.mitigation = mitigation;
     config.jobs = jobs;
     config.unit_batch = unit_batch;
-    config.workspace = workspace;
-    config.diff = diff;
+    config.oracle = oracle;
     config.metrics_path = dir + "/metrics.json";
     if (journal) {
       config.checkpoint_dir = dir + "/ckpt";
@@ -124,17 +113,18 @@ class TransformerCampaign : public ::testing::Test {
     run.metrics_path = config.metrics_path;
     if (journal) {
       run.journal_bytes =
-          file_bytes(CampaignExecutor::journal_path(config.checkpoint_dir));
+          test::file_bytes(CampaignExecutor::journal_path(config.checkpoint_dir));
     }
     return run;
   }
 
   void expect_identical(const CampaignRun& a, const CampaignRun& b) {
-    EXPECT_EQ(file_bytes(a.result.results_csv), file_bytes(b.result.results_csv));
-    EXPECT_EQ(file_bytes(a.result.fault_free_csv),
-              file_bytes(b.result.fault_free_csv));
-    EXPECT_EQ(file_bytes(a.result.fault_bin), file_bytes(b.result.fault_bin));
-    EXPECT_EQ(file_bytes(a.result.trace_bin), file_bytes(b.result.trace_bin));
+    EXPECT_EQ(test::file_bytes(a.result.results_csv),
+              test::file_bytes(b.result.results_csv));
+    EXPECT_EQ(test::file_bytes(a.result.fault_free_csv),
+              test::file_bytes(b.result.fault_free_csv));
+    EXPECT_EQ(test::file_bytes(a.result.fault_bin), test::file_bytes(b.result.fault_bin));
+    EXPECT_EQ(test::file_bytes(a.result.trace_bin), test::file_bytes(b.result.trace_bin));
     EXPECT_EQ(a.counters_json, b.counters_json);
     EXPECT_EQ(a.journal_bytes, b.journal_bytes);
     EXPECT_EQ(a.result.kpis.total, b.result.kpis.total);
@@ -159,11 +149,9 @@ TEST_F(TransformerCampaign, PackedMatchesUnitAtATime) {
   test::TempDir serial_dir("tf_off");
   const Scenario s = scenario(FaultTarget::kNeurons);
   const CampaignRun packed = run_campaign(s, 4, 1, packed_dir.str(), std::nullopt,
-                                  /*diff=*/true, /*workspace=*/true,
-                                  /*journal=*/true);
+                                  /*oracle=*/false, /*journal=*/true);
   const CampaignRun serial = run_campaign(s, 1, 1, serial_dir.str(), std::nullopt,
-                                  /*diff=*/true, /*workspace=*/true,
-                                  /*journal=*/true);
+                                  /*oracle=*/false, /*journal=*/true);
   EXPECT_EQ(packed.result.kpis.total, 24u);  // 4 images * 6 runs
   expect_identical(packed, serial);
 }
@@ -175,42 +163,38 @@ TEST_F(TransformerCampaign, ParallelPackedMatchesSerialUnitAtATime) {
   test::TempDir serial_dir("tf_off4j");
   const Scenario s = scenario(FaultTarget::kNeurons);
   const CampaignRun packed = run_campaign(s, 4, 4, packed_dir.str(), std::nullopt,
-                                  /*diff=*/true, /*workspace=*/true,
-                                  /*journal=*/false);
+                                  /*oracle=*/false, /*journal=*/false);
   const CampaignRun serial = run_campaign(s, 1, 1, serial_dir.str(), std::nullopt,
-                                  /*diff=*/true, /*workspace=*/true,
-                                  /*journal=*/false);
+                                  /*oracle=*/false, /*journal=*/false);
   expect_identical(packed, serial);
 }
 
-TEST_F(TransformerCampaign, NoDiffMatchesDiff) {
-  // Replaying the fault-free prefix over the transformer's aux-slot
-  // workspace must be invisible next to a full recompute.
-  test::TempDir diff_dir("tf_diff");
-  test::TempDir nodiff_dir("tf_nodiff");
-  const Scenario s = scenario(FaultTarget::kNeurons);
-  const CampaignRun with_diff = run_campaign(s, 1, 1, diff_dir.str(), std::nullopt,
-                                     /*diff=*/true, /*workspace=*/true,
-                                     /*journal=*/true);
-  const CampaignRun no_diff = run_campaign(s, 1, 1, nodiff_dir.str(), std::nullopt,
-                                   /*diff=*/false, /*workspace=*/true,
-                                   /*journal=*/true);
-  expect_identical(with_diff, no_diff);
-}
-
 TEST_F(TransformerCampaign, NoWorkspaceMatchesWorkspace) {
-  // The allocating inference path and the arena workspace (including
-  // the MHA/TransformerBlock aux slots) must agree byte-for-byte.
+  // The oracle (allocating forward, full recompute) and the default
+  // path (arena workspace including the MHA/TransformerBlock aux slots,
+  // with the fault-free prefix replayed) must agree byte-for-byte.
   test::TempDir ws_dir("tf_ws");
   test::TempDir alloc_dir("tf_alloc");
   const Scenario s = scenario(FaultTarget::kNeurons);
   const CampaignRun with_ws = run_campaign(s, 1, 1, ws_dir.str(), std::nullopt,
-                                   /*diff=*/true, /*workspace=*/true,
-                                   /*journal=*/true);
+                                   /*oracle=*/false, /*journal=*/true);
   const CampaignRun no_ws = run_campaign(s, 1, 1, alloc_dir.str(), std::nullopt,
-                                 /*diff=*/false, /*workspace=*/false,
-                                 /*journal=*/true);
+                                 /*oracle=*/true, /*journal=*/true);
   expect_identical(with_ws, no_ws);
+}
+
+TEST_F(TransformerCampaign, NoDiffMatchesDiff) {
+  // Replaying the fault-free prefix over the aux-slot workspace for a
+  // pack of four units per pass must be invisible next to the oracle's
+  // full recompute, one unit per pass.
+  test::TempDir diff_dir("tf_diff");
+  test::TempDir nodiff_dir("tf_nodiff");
+  const Scenario s = scenario(FaultTarget::kNeurons);
+  const CampaignRun with_diff = run_campaign(s, 4, 1, diff_dir.str(), std::nullopt,
+                                     /*oracle=*/false, /*journal=*/true);
+  const CampaignRun no_diff = run_campaign(s, 4, 1, nodiff_dir.str(), std::nullopt,
+                                   /*oracle=*/true, /*journal=*/true);
+  expect_identical(with_diff, no_diff);
 }
 
 TEST_F(TransformerCampaign, MitigatedPackedMatchesUnitAtATime) {
@@ -220,11 +204,11 @@ TEST_F(TransformerCampaign, MitigatedPackedMatchesUnitAtATime) {
   test::TempDir serial_dir("tf_offm");
   const Scenario s = scenario(FaultTarget::kNeurons);
   const CampaignRun packed = run_campaign(s, 4, 1, packed_dir.str(),
-                                  MitigationKind::kRanger, /*diff=*/true,
-                                  /*workspace=*/true, /*journal=*/true);
+                                  MitigationKind::kRanger, /*oracle=*/false,
+                                  /*journal=*/true);
   const CampaignRun serial = run_campaign(s, 1, 1, serial_dir.str(),
-                                  MitigationKind::kRanger, /*diff=*/true,
-                                  /*workspace=*/true, /*journal=*/true);
+                                  MitigationKind::kRanger, /*oracle=*/false,
+                                  /*journal=*/true);
   expect_identical(packed, serial);
 }
 
@@ -233,11 +217,9 @@ TEST_F(TransformerCampaign, WeightCampaignPackedMatchesUnitAtATime) {
   test::TempDir serial_dir("tf_offw");
   const Scenario s = scenario(FaultTarget::kWeights);
   const CampaignRun packed = run_campaign(s, 4, 1, packed_dir.str(), std::nullopt,
-                                  /*diff=*/true, /*workspace=*/true,
-                                  /*journal=*/true);
+                                  /*oracle=*/false, /*journal=*/true);
   const CampaignRun serial = run_campaign(s, 1, 1, serial_dir.str(), std::nullopt,
-                                  /*diff=*/true, /*workspace=*/true,
-                                  /*journal=*/true);
+                                  /*oracle=*/false, /*journal=*/true);
   expect_identical(packed, serial);
 }
 
@@ -272,14 +254,14 @@ TEST_F(TransformerCampaign, LocalFleetMatchesSerialByteForByte) {
   TestErrorModelsImgClass harness(*model_, *dataset_, s, c);
   const ImgClassCampaignResult fleet = harness.run();
 
-  EXPECT_EQ(file_bytes(serial.results_csv), file_bytes(fleet.results_csv));
-  EXPECT_EQ(file_bytes(serial.fault_free_csv), file_bytes(fleet.fault_free_csv));
-  EXPECT_EQ(file_bytes(serial.fault_bin), file_bytes(fleet.fault_bin));
-  EXPECT_EQ(file_bytes(serial.trace_bin), file_bytes(fleet.trace_bin));
-  EXPECT_EQ(file_bytes(CampaignExecutor::journal_path(ref_ckp.str())),
-            file_bytes(CampaignExecutor::journal_path(ckp_dir.str())));
-  EXPECT_EQ(file_bytes(CampaignExecutor::checkpoint_path(ref_ckp.str())),
-            file_bytes(CampaignExecutor::checkpoint_path(ckp_dir.str())));
+  EXPECT_EQ(test::file_bytes(serial.results_csv), test::file_bytes(fleet.results_csv));
+  EXPECT_EQ(test::file_bytes(serial.fault_free_csv), test::file_bytes(fleet.fault_free_csv));
+  EXPECT_EQ(test::file_bytes(serial.fault_bin), test::file_bytes(fleet.fault_bin));
+  EXPECT_EQ(test::file_bytes(serial.trace_bin), test::file_bytes(fleet.trace_bin));
+  EXPECT_EQ(test::file_bytes(CampaignExecutor::journal_path(ref_ckp.str())),
+            test::file_bytes(CampaignExecutor::journal_path(ckp_dir.str())));
+  EXPECT_EQ(test::file_bytes(CampaignExecutor::checkpoint_path(ref_ckp.str())),
+            test::file_bytes(CampaignExecutor::checkpoint_path(ckp_dir.str())));
   EXPECT_EQ(serial.kpis.total, fleet.kpis.total);
   EXPECT_EQ(serial.kpis.sde, fleet.kpis.sde);
   EXPECT_EQ(serial.kpis.due, fleet.kpis.due);
@@ -294,8 +276,8 @@ TEST_F(TransformerCampaign, NeuronFaultsReachAttentionProbabilities) {
   test::TempDir dir("tf_probs");
   const Scenario s =
       scenario(FaultTarget::kNeurons, {nn::LayerKind::kAttention});
-  const CampaignRun run = run_campaign(s, 1, 1, dir.str(), std::nullopt, /*diff=*/true,
-                               /*workspace=*/true, /*journal=*/false);
+  const CampaignRun run = run_campaign(s, 1, 1, dir.str(), std::nullopt,
+                                       /*oracle=*/false, /*journal=*/false);
   const std::uint64_t applied =
       counter_from_metrics(run.metrics_path, "injections.applied");
   EXPECT_GT(applied, 0u);
@@ -307,8 +289,8 @@ TEST_F(TransformerCampaign, NeuronFaultsReachAttentionProbabilities) {
 TEST_F(TransformerCampaign, NeuronFaultsReachResidualStream) {
   test::TempDir dir("tf_resid");
   const Scenario s = scenario(FaultTarget::kNeurons, {nn::LayerKind::kResidual});
-  const CampaignRun run = run_campaign(s, 1, 1, dir.str(), std::nullopt, /*diff=*/true,
-                               /*workspace=*/true, /*journal=*/false);
+  const CampaignRun run = run_campaign(s, 1, 1, dir.str(), std::nullopt,
+                                       /*oracle=*/false, /*journal=*/false);
   const std::uint64_t applied =
       counter_from_metrics(run.metrics_path, "injections.applied");
   EXPECT_GT(applied, 0u);
@@ -324,8 +306,8 @@ TEST_F(TransformerCampaign, WeightFaultsReachProjectionsAndMlp) {
   test::TempDir dir("tf_proj");
   const Scenario s =
       scenario(FaultTarget::kWeights, {nn::LayerKind::kSeqLinear});
-  const CampaignRun run = run_campaign(s, 1, 1, dir.str(), std::nullopt, /*diff=*/true,
-                               /*workspace=*/true, /*journal=*/false);
+  const CampaignRun run = run_campaign(s, 1, 1, dir.str(), std::nullopt,
+                                       /*oracle=*/false, /*journal=*/false);
   const std::uint64_t applied =
       counter_from_metrics(run.metrics_path, "injections.weight_applied");
   EXPECT_GT(applied, 0u);
@@ -342,8 +324,8 @@ TEST_F(TransformerCampaign, WeightFaultsReachEmbeddingAndLayerNormGains) {
   test::TempDir dir("tf_embed");
   const Scenario s = scenario(
       FaultTarget::kWeights, {nn::LayerKind::kEmbedding, nn::LayerKind::kLayerNorm});
-  const CampaignRun run = run_campaign(s, 1, 1, dir.str(), std::nullopt, /*diff=*/true,
-                               /*workspace=*/true, /*journal=*/false);
+  const CampaignRun run = run_campaign(s, 1, 1, dir.str(), std::nullopt,
+                                       /*oracle=*/false, /*journal=*/false);
   const std::uint64_t applied =
       counter_from_metrics(run.metrics_path, "injections.weight_applied");
   EXPECT_GT(applied, 0u);

@@ -12,6 +12,7 @@
 //   alfi run-objdet --family yolo --output out/
 //   alfi inspect-faults out/vgg_faults.bin
 //   alfi analyze out/vgg_results.csv --trace out/vgg_trace.bin
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -68,13 +69,30 @@ struct Args {
   }
 };
 
-/// --jobs N: campaign worker threads; default = hardware concurrency.
-std::size_t parse_jobs(const Args& args) {
-  const auto value = args.get("jobs");
-  if (!value) return core::CampaignRunner::default_job_count();
+/// Fails with a ConfigError naming the first flag `command` does not
+/// know, so a typo never silently runs a default campaign.
+void reject_unknown_flags(const Args& args, const std::string& command,
+                          const std::vector<std::string>& known) {
+  for (const auto& [key, value] : args.flags) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw ConfigError("unknown flag --" + key + " for " + command +
+                        " (see alfi --help)");
+    }
+  }
+}
+
+/// Value of the integer flag --key, or nullopt when it is absent.  A
+/// value that is not an integer >= `min` (0 or 1) fails with a
+/// ConfigError before any work starts.
+std::optional<std::size_t> int_flag(const Args& args, const std::string& key,
+                                    long long min = 1) {
+  const auto value = args.get(key);
+  if (!value) return std::nullopt;
   const auto parsed = parse_int(*value);
-  if (!parsed || *parsed < 1) {
-    throw ConfigError("--jobs must be a positive integer, got: " + *value);
+  if (!parsed || *parsed < min) {
+    throw ConfigError("--" + key + " must be a " +
+                      (min > 0 ? "positive" : "non-negative") +
+                      " integer, got: " + *value);
   }
   return static_cast<std::size_t>(*parsed);
 }
@@ -89,13 +107,7 @@ void apply_checkpoint_flags(core::CampaignConfigBase& config, const Args& args) 
     config.checkpoint_dir = *dir;
     config.resume = true;
   }
-  if (const auto v = args.get("checkpoint-every")) {
-    const auto parsed = parse_int(*v);
-    if (!parsed || *parsed < 1) {
-      throw ConfigError("--checkpoint-every must be a positive integer, got: " + *v);
-    }
-    config.checkpoint_every = static_cast<std::size_t>(*parsed);
-  }
+  if (const auto n = int_flag(args, "checkpoint-every")) config.checkpoint_every = *n;
   if (!config.checkpoint_dir.empty()) install_drain_handlers();
 }
 
@@ -107,24 +119,11 @@ void apply_telemetry_flags(core::CampaignConfigBase& config, const Args& args) {
   if (args.get("progress")) config.progress = true;
 }
 
-/// --no-workspace: fall back to the allocating forward() path instead
-/// of arena-backed workspace inference (same outputs, for A/B timing).
-/// --no-diff: full recompute of every campaign pass instead of
-/// differential inference replaying the fault-free prefix (DESIGN.md
-/// §11; same outputs, for A/B verification).
 /// --unit-batch K: pack up to K campaign units into one batched forward
 /// pass, arming each unit's faults on its own batch slot (DESIGN.md
 /// §12; same outputs, clamped to what the workload supports).
 void apply_workspace_flag(core::CampaignConfigBase& config, const Args& args) {
-  if (args.get("no-workspace")) config.workspace = false;
-  if (args.get("no-diff")) config.diff = false;
-  if (const auto v = args.get("unit-batch")) {
-    const auto parsed = parse_int(*v);
-    if (!parsed || *parsed < 1) {
-      throw ConfigError("--unit-batch must be a positive integer, got: " + *v);
-    }
-    config.unit_batch = static_cast<std::size_t>(*parsed);
-  }
+  if (const auto k = int_flag(args, "unit-batch")) config.unit_batch = *k;
 }
 
 /// Distributed fleet role flags (DESIGN.md §14), shared by both run
@@ -138,13 +137,7 @@ void apply_workspace_flag(core::CampaignConfigBase& config, const Args& args) {
 /// Coordinator modes require --checkpoint (the shipped frames are merged
 /// through the journal).
 void apply_fleet_flags(core::CampaignConfigBase& config, const Args& args) {
-  if (const auto v = args.get("fleet-workers")) {
-    const auto parsed = parse_int(*v);
-    if (!parsed || *parsed < 1) {
-      throw ConfigError("--fleet-workers must be a positive integer, got: " + *v);
-    }
-    config.fleet.local_workers = static_cast<std::size_t>(*parsed);
-  }
+  if (const auto n = int_flag(args, "fleet-workers")) config.fleet.local_workers = *n;
   if (const auto v = args.get("fleet-coordinator")) {
     config.fleet.coordinator = true;
     if (*v != "true") {  // a bare flag parses as "true": ephemeral port
@@ -159,13 +152,7 @@ void apply_fleet_flags(core::CampaignConfigBase& config, const Args& args) {
     config.fleet.connect = *v;
     core::parse_host_port(*v);  // fail fast on a malformed spec
   }
-  if (const auto v = args.get("lease-units")) {
-    const auto parsed = parse_int(*v);
-    if (!parsed || *parsed < 1) {
-      throw ConfigError("--lease-units must be a positive integer, got: " + *v);
-    }
-    config.fleet.lease_units = static_cast<std::size_t>(*parsed);
-  }
+  if (const auto n = int_flag(args, "lease-units")) config.fleet.lease_units = *n;
   if (config.fleet.worker_mode() && config.fleet.coordinator_mode()) {
     throw ConfigError(
         "--fleet-worker cannot be combined with --fleet-workers / "
@@ -192,13 +179,7 @@ void apply_fleet_flags(core::CampaignConfigBase& config, const Args& args) {
 ///   --steer-round N       units planned per steering round (default
 ///                         units/8)
 void apply_steering_flags(core::CampaignConfigBase& config, const Args& args) {
-  if (const auto v = args.get("budget")) {
-    const auto parsed = parse_int(*v);
-    if (!parsed || *parsed < 1) {
-      throw ConfigError("--budget must be a positive integer, got: " + *v);
-    }
-    config.steering.budget = static_cast<std::size_t>(*parsed);
-  }
+  if (const auto n = int_flag(args, "budget")) config.steering.budget = *n;
   if (args.get("steer")) config.steering.steer = true;
   if (const auto path = args.get("vuln-map")) config.steering.map_path = *path;
   if (const auto v = args.get("steer-half-width")) {
@@ -215,21 +196,10 @@ void apply_steering_flags(core::CampaignConfigBase& config, const Args& args) {
     }
     config.steering.z = *parsed;
   }
-  if (const auto v = args.get("steer-min-samples")) {
-    const auto parsed = parse_int(*v);
-    if (!parsed || *parsed < 1) {
-      throw ConfigError("--steer-min-samples must be a positive integer, got: " +
-                        *v);
-    }
-    config.steering.min_cell_samples = static_cast<std::size_t>(*parsed);
+  if (const auto n = int_flag(args, "steer-min-samples")) {
+    config.steering.min_cell_samples = *n;
   }
-  if (const auto v = args.get("steer-round")) {
-    const auto parsed = parse_int(*v);
-    if (!parsed || *parsed < 1) {
-      throw ConfigError("--steer-round must be a positive integer, got: " + *v);
-    }
-    config.steering.round_units = static_cast<std::size_t>(*parsed);
-  }
+  if (const auto n = int_flag(args, "steer-round")) config.steering.round_units = *n;
 }
 
 std::optional<core::MitigationKind> parse_mitigation(const Args& args) {
@@ -240,20 +210,31 @@ std::optional<core::MitigationKind> parse_mitigation(const Args& args) {
   throw ConfigError("unknown mitigation: " + *value + " (ranger|clipper)");
 }
 
+/// Every campaign-config flag of the two run commands.
+void apply_campaign_flags(core::CampaignConfigBase& config, const Args& args) {
+  config.output_dir = args.get("output", "alfi_out");
+  config.mitigation = parse_mitigation(args);
+  config.fault_file = args.get("fault-file", "");
+  // --jobs N: campaign worker threads; default = hardware concurrency.
+  config.jobs =
+      int_flag(args, "jobs").value_or(core::CampaignRunner::default_job_count());
+  apply_checkpoint_flags(config, args);
+  apply_telemetry_flags(config, args);
+  apply_workspace_flag(config, args);
+  apply_fleet_flags(config, args);
+  apply_steering_flags(config, args);
+}
+
 core::Scenario load_scenario(const Args& args) {
   core::Scenario scenario;
   if (const auto path = args.get("scenario")) {
     scenario = core::Scenario::from_yaml_file(*path);
   }
-  if (const auto v = args.get("dataset-size")) {
-    scenario.dataset_size = static_cast<std::size_t>(*parse_int(*v));
+  if (const auto n = int_flag(args, "dataset-size")) scenario.dataset_size = *n;
+  if (const auto n = int_flag(args, "faults-per-image")) {
+    scenario.max_faults_per_image = *n;
   }
-  if (const auto v = args.get("faults-per-image")) {
-    scenario.max_faults_per_image = static_cast<std::size_t>(*parse_int(*v));
-  }
-  if (const auto v = args.get("seed")) {
-    scenario.rnd_seed = static_cast<std::uint64_t>(*parse_int(*v));
-  }
+  if (const auto n = int_flag(args, "seed", 0)) scenario.rnd_seed = *n;
   if (const auto v = args.get("target")) {
     scenario.target = core::fault_target_from_string(*v);
   }
@@ -271,6 +252,13 @@ core::Scenario load_scenario(const Args& args) {
 int cmd_run_imgclass(const Args& args) {
   const std::string arch = args.get("model", "lenet");
   core::Scenario scenario = load_scenario(args);
+  // Campaign flags before any work: every flag is validated up front,
+  // and the drain handlers must already be in place while the
+  // (potentially long) model training below runs, so a SIGTERM at any
+  // point after argument parsing drains gracefully.
+  core::ImgClassCampaignConfig config;
+  config.model_name = arch;
+  apply_campaign_flags(config, args);
 
   // --model transformer swaps in the sequence-classification workload:
   // token-id "images" of shape [1,1,T] through the same harness.
@@ -289,21 +277,6 @@ int cmd_run_imgclass(const Args& args) {
         std::make_unique<data::SyntheticShapesClassification>(data_config);
   }
   const data::ClassificationDataset& dataset = *dataset_holder;
-
-  // Checkpoint flags first: the drain handlers must already be in place
-  // while the (potentially long) model training below runs, so a
-  // SIGTERM at any point after argument parsing drains gracefully.
-  core::ImgClassCampaignConfig config;
-  config.model_name = arch;
-  config.output_dir = args.get("output", "alfi_out");
-  config.mitigation = parse_mitigation(args);
-  config.fault_file = args.get("fault-file", "");
-  config.jobs = parse_jobs(args);
-  apply_checkpoint_flags(config, args);
-  apply_telemetry_flags(config, args);
-  apply_workspace_flag(config, args);
-  apply_fleet_flags(config, args);
-  apply_steering_flags(config, args);
 
   std::shared_ptr<nn::Sequential> model;
   models::TrainConfig train_config;
@@ -349,25 +322,17 @@ int cmd_run_imgclass(const Args& args) {
 int cmd_run_objdet(const Args& args) {
   const std::string family = args.get("family", "yolo");
   core::Scenario scenario = load_scenario(args);
+  // As in run-imgclass: flags validated and drain handlers in place
+  // before any work.
+  core::ObjDetCampaignConfig config;
+  config.model_name = family;
+  apply_campaign_flags(config, args);
 
   data::DetectionConfig data_config;
   data_config.size = std::max<std::size_t>(scenario.dataset_size, 48);
   data_config.seed = 41;
   const data::SyntheticShapesDetection dataset(data_config);
   scenario.dataset_size = std::min(scenario.dataset_size, dataset.size());
-
-  // As in run-imgclass: drain handlers in place before the training run.
-  core::ObjDetCampaignConfig config;
-  config.model_name = family;
-  config.output_dir = args.get("output", "alfi_out");
-  config.mitigation = parse_mitigation(args);
-  config.fault_file = args.get("fault-file", "");
-  config.jobs = parse_jobs(args);
-  apply_checkpoint_flags(config, args);
-  apply_telemetry_flags(config, args);
-  apply_workspace_flag(config, args);
-  apply_fleet_flags(config, args);
-  apply_steering_flags(config, args);
 
   auto detector = models::make_detector(family, models::GridSpec{6, 48, 48}, 3, 3);
   models::TrainConfig train_config;
@@ -408,13 +373,12 @@ int cmd_inspect_faults(const Args& args) {
     std::fprintf(stderr, "usage: alfi inspect-faults <faults.bin> [--json] [--limit N]\n");
     return 2;
   }
+  const std::size_t limit = int_flag(args, "limit", 0).value_or(16);
   const core::FaultMatrix matrix = core::FaultMatrix::load(args.positional[0]);
   if (args.get("json")) {
     std::printf("%s\n", matrix.to_json().dump(2).c_str());
     return 0;
   }
-  const std::size_t limit = static_cast<std::size_t>(
-      *parse_int(args.get("limit", "16")));
   const auto rows = matrix.table_rows();
   const char* names[7] = {"Batch/Layer", "Layer/OutCh", "Channel/InCh", "Depth",
                           "Height",      "Width",       "Value"};
@@ -558,8 +522,8 @@ int cmd_show_scenario(const Args& args) {
   return 0;
 }
 
-void usage() {
-  std::fprintf(stderr,
+void usage(std::FILE* out) {
+  std::fprintf(out,
                "usage: alfi <command> [options]\n"
                "commands:\n"
                "  run-imgclass   --model <lenet|alexnet|vgg|resnet|transformer>\n"
@@ -568,8 +532,8 @@ void usage() {
                "                 [--target neurons|weights] [--mitigation ranger|clipper]\n"
                "                 [--fault-file f.bin] [--output dir] [--jobs N]\n"
                "                 [--checkpoint dir] [--resume dir] [--checkpoint-every N]\n"
-               "                 [--metrics out.json] [--progress] [--no-workspace]\n"
-               "                 [--no-diff] [--unit-batch K] [--backend ref|avx2|auto]\n"
+               "                 [--metrics out.json] [--progress] [--unit-batch K]\n"
+               "                 [--backend ref|avx2|auto]\n"
                "                 [--numeric-type fp32|bf16|fp16|fp16_stored|int8]\n"
                "                 [--fleet-workers N] [--fleet-coordinator [port]]\n"
                "                 [--fleet-worker host:port] [--lease-units K]\n"
@@ -586,10 +550,6 @@ void usage() {
                "                  SIGINT/SIGTERM drain gracefully, exit code 75.\n"
                "                  --metrics: write campaign telemetry as JSON\n"
                "                  (DESIGN.md §9); --progress: live stderr line;\n"
-               "                  --no-workspace: allocating inference path\n"
-               "                  instead of arena-backed buffers, same outputs;\n"
-               "                  --no-diff: full recompute instead of replaying\n"
-               "                  the fault-free prefix, same outputs;\n"
                "                  --backend: kernel backend — ref is the scalar\n"
                "                  oracle, avx2 requires CPU support, auto picks\n"
                "                  the best available; metrics.json records what\n"
@@ -621,7 +581,48 @@ void usage() {
                "  inspect-faults <faults.bin> [--json] [--limit N]\n"
                "  analyze        <results.csv> [--trace trace.bin]\n"
                "  diff           <a_results.csv> <b_results.csv>\n"
-               "  show-scenario  [scenario.yml]\n");
+               "  show-scenario  [scenario.yml]\n"
+               "  (--help or -h after any command prints this text)\n");
+}
+
+/// Flags shared by both run commands.
+const std::vector<std::string> kCampaignFlags = {
+    "scenario", "dataset-size", "faults-per-image", "seed", "target", "backend",
+    "numeric-type", "mitigation", "fault-file", "output", "jobs", "checkpoint",
+    "resume", "checkpoint-every", "metrics", "progress", "unit-batch",
+    "fleet-workers", "fleet-coordinator", "fleet-worker", "lease-units",
+    "budget", "steer", "vuln-map", "steer-half-width", "steer-z",
+    "steer-min-samples", "steer-round"};
+
+std::vector<std::string> with_flag(std::vector<std::string> flags,
+                                   const std::string& extra) {
+  flags.push_back(extra);
+  return flags;
+}
+
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string> flags;  // every flag the command accepts
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"run-imgclass", cmd_run_imgclass, with_flag(kCampaignFlags, "model")},
+      {"run-objdet", cmd_run_objdet, with_flag(kCampaignFlags, "family")},
+      {"list-targets", cmd_list_targets, {"model"}},
+      {"inspect-faults", cmd_inspect_faults, {"json", "limit"}},
+      {"analyze", cmd_analyze, {"trace"}},
+      {"diff", cmd_diff, {}},
+      {"show-scenario", cmd_show_scenario, {}},
+  };
+  return table;
+}
+
+bool help_requested(const Args& args) {
+  return args.flags.contains("help") ||
+         std::find(args.positional.begin(), args.positional.end(), "-h") !=
+             args.positional.end();
 }
 
 }  // namespace
@@ -629,20 +630,22 @@ void usage() {
 int main(int argc, char** argv) {
   set_log_level(LogLevel::kWarn);
   if (argc < 2) {
-    usage();
+    usage(stderr);
     return 2;
   }
   const std::string command = argv[1];
   const Args args = Args::parse(argc, argv, 2);
+  if (command == "--help" || command == "-h" || help_requested(args)) {
+    usage(stdout);
+    return 0;
+  }
   try {
-    if (command == "run-imgclass") return cmd_run_imgclass(args);
-    if (command == "run-objdet") return cmd_run_objdet(args);
-    if (command == "list-targets") return cmd_list_targets(args);
-    if (command == "inspect-faults") return cmd_inspect_faults(args);
-    if (command == "analyze") return cmd_analyze(args);
-    if (command == "diff") return cmd_diff(args);
-    if (command == "show-scenario") return cmd_show_scenario(args);
-    usage();
+    for (const Command& c : commands()) {
+      if (command != c.name) continue;
+      reject_unknown_flags(args, command, c.flags);
+      return c.run(args);
+    }
+    usage(stderr);
     return 2;
   } catch (const core::CampaignInterrupted& e) {
     std::fprintf(stderr, "alfi: %s\n", e.what());

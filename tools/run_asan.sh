@@ -6,9 +6,10 @@
 # rewriting of DESIGN.md §12, the AVX2 kernels of DESIGN.md §13 —
 # vectorized loads near tensor tails are exactly where ASan earns its
 # keep — and the budgeted-steering round loop of DESIGN.md §16, which
-# re-reads unit payloads at the round barrier) — plus the parser- and
-# injection-labeled suites (JSON/YAML/CSV/binary/serialize decoders,
-# scenario, injector, wrapper).  Usage:
+# re-reads unit payloads at the round barrier) — plus the parser-,
+# injection- and cli-labeled suites (JSON/YAML/CSV/binary/serialize
+# decoders, scenario, injector, wrapper, the alfi binary's argument
+# checks).  Usage:
 #
 #   tools/run_asan.sh [extra ctest args...]
 #

@@ -6,8 +6,9 @@
 # remap arithmetic, the differential-inference prefix bookkeeping, the
 # stored-code (fp16/int8) quantization paths and the Wilson-interval
 # arithmetic driving budgeted steering are the layers where silent UB
-# would corrupt campaign verdicts.  The parser- and injection-labeled
-# suites (decoders, scenario, injector, wrapper) run as well.
+# would corrupt campaign verdicts.  The parser-, injection- and
+# cli-labeled suites (decoders, scenario, injector, wrapper, the alfi
+# binary's argument checks) run as well.
 # Usage:
 #
 #   tools/run_ubsan.sh [extra ctest args...]
